@@ -3,21 +3,22 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use exclusion_cost::sc_cost;
-use exclusion_mutex::AnyAlgorithm;
+use exclusion_mutex::{AlgorithmInfo, AlgorithmRegistry};
 use exclusion_shmem::sched::run_sequential;
-use exclusion_shmem::{Automaton, ProcessId};
+use exclusion_shmem::{DynRef, ProcessId};
 use std::hint::black_box;
 
 fn bench_canonical(c: &mut Criterion) {
     let mut group = c.benchmark_group("canonical-run");
     group.sample_size(20);
     for n in [8usize, 32] {
-        for alg in AnyAlgorithm::suite(n) {
-            if alg.name() == "filter" && n > 8 {
+        for r in AlgorithmRegistry::global().instantiate(n, AlgorithmInfo::register_only) {
+            if r.label == "filter" && n > 8 {
                 continue;
             }
+            let alg = DynRef(r.automaton.as_ref());
             let order: Vec<_> = ProcessId::all(n).collect();
-            group.bench_with_input(BenchmarkId::new(alg.name(), n), &alg, |b, alg| {
+            group.bench_with_input(BenchmarkId::new(&r.label, n), &alg, |b, alg| {
                 b.iter(|| {
                     let exec = run_sequential(alg, black_box(&order), 10_000_000).expect("run");
                     black_box(exec.len())

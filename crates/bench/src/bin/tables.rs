@@ -1,4 +1,5 @@
-//! Regenerates every experiment table of EXPERIMENTS.md.
+//! Regenerates every experiment table (e1–e13; README: "Examples and
+//! experiments").
 //!
 //! ```text
 //! tables                 # run everything (full grids)

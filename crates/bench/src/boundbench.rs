@@ -23,7 +23,7 @@ use exclusion_mutex::registry::AlgorithmRegistry;
 use exclusion_shmem::dynamic::DynRef;
 
 /// Schema tag stamped into `BENCH_bound.json`.
-pub const BENCH_SCHEMA: &str = "exclusion-bench-bound/v1";
+pub const BENCH_SCHEMA: &str = "exclusion-bench-bound/v2";
 
 /// The register-only algorithms of the paper's model — the curves of
 /// the report, derived from the registry's own `uses_rmw` metadata
@@ -52,8 +52,8 @@ pub struct BoundCell {
 
 /// The small-`n` soundness cross-check against exhaustive search: the
 /// adversary plays real schedules, so its forced cost can never exceed
-/// the exact supremum — and must still dominate the greedy incumbent
-/// the exhaustive search starts from.
+/// the exact supremum — and must still dominate the greedy baseline
+/// the game plays beside it.
 #[derive(Clone, Debug)]
 pub struct ExactCheck {
     /// Algorithm spec.
@@ -62,11 +62,11 @@ pub struct ExactCheck {
     pub n: usize,
     /// The adversary's forced SC cost.
     pub forced_sc: usize,
-    /// The exhaustive search's greedy incumbent.
-    pub incumbent: usize,
+    /// The greedy baseline's SC cost ([`ForcedRun::greedy`]).
+    pub greedy: usize,
     /// The exact SC supremum, `None` when unbounded (remote spins).
     pub exact: Option<usize>,
-    /// `incumbent ≤ forced ≤ exact` (upper bound vacuous when
+    /// `greedy ≤ forced ≤ exact` (upper bound vacuous when
     /// unbounded).
     pub sound: bool,
 }
@@ -129,13 +129,13 @@ pub fn run(quick: bool) -> (Vec<BoundCell>, Vec<ExactCheck>) {
             let worst = worst_case(alg.as_ref(), Model::Sc, &ExploreConfig::default());
             let forced_sc = run.forced[SC];
             let sound = run.completed()
-                && forced_sc >= worst.incumbent
+                && forced_sc >= run.greedy[SC]
                 && worst.cost.exact().is_none_or(|e| forced_sc <= e);
             exact.push(ExactCheck {
                 algorithm: algorithm.clone(),
                 n,
                 forced_sc,
-                incumbent: worst.incumbent,
+                greedy: run.greedy[SC],
                 exact: worst.cost.exact(),
                 sound,
             });
@@ -201,10 +201,10 @@ pub fn to_text(cells: &[BoundCell], exact: &[ExactCheck]) -> String {
     for e in exact {
         let _ = writeln!(
             out,
-            "  {:<12} n={}  incumbent {:>4} <= forced {:>4} <= exact {:<9} {}",
+            "  {:<12} n={}  greedy {:>4} <= forced {:>4} <= exact {:<9} {}",
             e.algorithm,
             e.n,
-            e.incumbent,
+            e.greedy,
             e.forced_sc,
             e.exact.map_or("unbounded".into(), |x| x.to_string()),
             if e.sound { "yes" } else { "NO" },
@@ -256,11 +256,11 @@ pub fn to_json(cells: &[BoundCell], exact: &[ExactCheck], quick: bool) -> String
         }
         let _ = write!(
             out,
-            "{{\"algorithm\":\"{}\",\"n\":{},\"forced_sc\":{},\"incumbent\":{},\"exact\":{},\"sound\":{}}}",
+            "{{\"algorithm\":\"{}\",\"n\":{},\"forced_sc\":{},\"greedy\":{},\"exact\":{},\"sound\":{}}}",
             json_escape(&e.algorithm),
             e.n,
             e.forced_sc,
-            e.incumbent,
+            e.greedy,
             e.exact.map_or("null".into(), |x| x.to_string()),
             e.sound,
         );
@@ -293,14 +293,14 @@ mod tests {
             algorithm: "peterson".into(),
             n: 2,
             forced_sc: 55,
-            incumbent: 35,
+            greedy: 35,
             exact: None,
             sound: true,
         };
         let (cells, checks) = (std::slice::from_ref(&cell), std::slice::from_ref(&exact));
         assert!(all_clean(cells, checks));
         let json = to_json(cells, checks, true);
-        assert!(json.contains("\"schema\":\"exclusion-bench-bound/v1\""));
+        assert!(json.contains("\"schema\":\"exclusion-bench-bound/v2\""));
         assert!(
             json.contains("\"exact\":null"),
             "unbounded serializes as null"

@@ -1,4 +1,4 @@
-//! The experiments of EXPERIMENTS.md (index in DESIGN.md §5).
+//! The experiment tables e1–e13 (README: "Examples and experiments").
 //!
 //! Every function regenerates one table. `quick` shrinks the parameter
 //! grids so the whole suite smoke-runs in seconds (used by tests);
@@ -11,9 +11,9 @@ use exclusion_lb::{
     construct, encode, log2_factorial, run_pipeline, verify_counting, ConstructConfig, Permutation,
     PipelineError,
 };
-use exclusion_mutex::AnyAlgorithm;
+use exclusion_mutex::{AlgorithmRegistry, ResolvedAlgorithm};
 use exclusion_shmem::sched::{run_random, run_sequential};
-use exclusion_shmem::{Automaton, ProcessId};
+use exclusion_shmem::{Automaton, DynRef, ProcessId};
 use exclusion_spin::harness::all_locks;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,12 +24,16 @@ use crate::table::{f1, f2, Table};
 /// reproducible run to run.
 pub const SEED: u64 = 0x5eed_2006;
 
-/// Algorithms exercised at size `n`, with the cubic-cost filter lock
-/// capped at n ≤ 16 to keep runtimes sane.
-fn algorithms(n: usize) -> Vec<AnyAlgorithm> {
-    AnyAlgorithm::suite(n)
+/// The crash-free locks of the registry at size `n` — the paper's
+/// register-only suite, plus the RMW locks when `rmw` is set — with the
+/// cubic-cost filter lock capped at n ≤ 16 to keep runtimes sane.
+fn algorithms(n: usize, rmw: bool) -> Vec<ResolvedAlgorithm> {
+    AlgorithmRegistry::global()
+        .instantiate(n, |i| {
+            i.deadlock_free && !i.recoverable && (rmw || !i.uses_rmw)
+        })
         .into_iter()
-        .filter(|a| n <= 16 || a.name() != "filter")
+        .filter(|r| n <= 16 || r.label != "filter")
         .collect()
 }
 
@@ -71,7 +75,8 @@ pub fn e1_lower_bound_shape(quick: bool) -> Table {
     };
     let samples = if quick { 2 } else { 8 };
     for &n in sizes {
-        for alg in algorithms(n) {
+        for r in algorithms(n, false) {
+            let alg = DynRef(r.automaton.as_ref());
             let perms = sample_perms(n, samples);
             let costs: Vec<usize> = perms
                 .iter()
@@ -124,7 +129,8 @@ pub fn e2_encoding_efficiency(quick: bool) -> Table {
     let sizes: &[usize] = if quick { &[4] } else { &[4, 8, 16, 32] };
     let samples = if quick { 2 } else { 8 };
     for &n in sizes {
-        for alg in algorithms(n) {
+        for r in algorithms(n, false) {
+            let alg = DynRef(r.automaton.as_ref());
             let mut max_bits = 0usize;
             let mut sum_bits = 0usize;
             let mut max_k: f64 = 0.0;
@@ -168,7 +174,8 @@ pub fn e3_pipeline_verification(quick: bool) -> Table {
     let sizes: &[usize] = if quick { &[3] } else { &[3, 5, 8, 12] };
     let samples = if quick { 2 } else { 6 };
     for &n in sizes {
-        for alg in algorithms(n) {
+        for r in algorithms(n, false) {
+            let alg = DynRef(r.automaton.as_ref());
             let perms = sample_perms(n, samples);
             let mut pass = 0;
             let mut fail = 0;
@@ -214,7 +221,8 @@ pub fn e4_cost_invariance(quick: bool) -> Table {
     );
     let n = if quick { 4 } else { 6 };
     let seeds = if quick { 4 } else { 16 };
-    for alg in algorithms(n) {
+    for r in algorithms(n, false) {
+        let alg = DynRef(r.automaton.as_ref());
         let perms = sample_perms(n, 3);
         let mut distinct_max = 0usize;
         for pi in &perms {
@@ -265,7 +273,8 @@ pub fn e5_counting(quick: bool) -> Table {
     );
     let sizes: &[usize] = if quick { &[2, 3] } else { &[2, 3, 4, 5] };
     for &n in sizes {
-        for alg in algorithms(n) {
+        for entry in algorithms(n, false) {
+            let alg = DynRef(entry.automaton.as_ref());
             let r = verify_counting(&alg, &ConstructConfig::default())
                 .unwrap_or_else(|e| panic!("{}: {e}", alg.name()));
             t.push_row(vec![
@@ -345,10 +354,8 @@ pub fn e7_cost_models(quick: bool) -> Table {
         &["algorithm", "n", "steps", "SC", "CC", "DSM"],
     );
     let order: Vec<_> = ProcessId::all(n).collect();
-    for alg in AnyAlgorithm::full_suite(n) {
-        if alg.name() == "filter" && n > 16 {
-            continue;
-        }
+    for r in algorithms(n, true) {
+        let alg = DynRef(r.automaton.as_ref());
         let exec = run_sequential(&alg, &order, 10_000_000).expect("canonical run");
         let (sc, cc, dsm) = all_costs(&alg, &exec).expect("replay");
         t.push_row(vec![
@@ -382,10 +389,8 @@ pub fn e8_contended_rmr(quick: bool) -> Table {
     let seeds = if quick { 2 } else { 6 };
     let passages = 3usize;
     for &n in sizes {
-        for alg in AnyAlgorithm::full_suite(n) {
-            if alg.name() == "filter" && n > 16 {
-                continue;
-            }
+        for r in algorithms(n, true) {
+            let alg = DynRef(r.automaton.as_ref());
             let mut cc_sum = 0usize;
             let mut sc_sum = 0usize;
             for seed in 0..seeds {
@@ -500,7 +505,8 @@ pub fn e10a_encoding_ablation(quick: bool) -> Table {
         &["algorithm", "n", "γ bits", "fixed bits", "fixed/γ"],
     );
     let n = if quick { 4 } else { 8 };
-    for alg in algorithms(n) {
+    for r in algorithms(n, false) {
+        let alg = DynRef(r.automaton.as_ref());
         let pi = Permutation::reversed(n);
         let c = construct(&alg, &pi, &ConstructConfig::default()).expect("construct");
         let enc = encode(&c);
@@ -519,7 +525,8 @@ pub fn e10a_encoding_ablation(quick: bool) -> Table {
 }
 
 /// E10b — ablation: disabling the SR-read ordering completion
-/// (DESIGN.md §6.1) and counting how many pipelines break.
+/// (`exclusion_lb::construct` module docs, implementation note 2) and
+/// counting how many pipelines break.
 #[must_use]
 pub fn e10b_remedy_ablation(quick: bool) -> Table {
     let mut t = Table::new(
@@ -539,7 +546,8 @@ pub fn e10b_remedy_ablation(quick: bool) -> Table {
         sr_preread_remedy: false,
         ..ConstructConfig::default()
     };
-    for alg in algorithms(n) {
+    for r in algorithms(n, false) {
+        let alg = DynRef(r.automaton.as_ref());
         let mut pass_on = 0usize;
         let mut pass_off = 0usize;
         let mut total = 0usize;
@@ -594,10 +602,8 @@ pub fn e11_fairness(quick: bool) -> Table {
     let n = if quick { 3 } else { 8 };
     let passages = 4usize;
     let seeds: u64 = if quick { 2 } else { 6 };
-    for alg in AnyAlgorithm::full_suite(n) {
-        if alg.name() == "filter" && n > 16 {
-            continue;
-        }
+    for r in algorithms(n, true) {
+        let alg = DynRef(r.automaton.as_ref());
         let mut overtakes = 0usize;
         let mut total_passages = 0usize;
         for seed in 0..seeds {
@@ -649,7 +655,8 @@ pub fn e12_anatomy(quick: bool) -> Table {
         ],
     );
     let n = if quick { 4 } else { 12 };
-    for alg in algorithms(n) {
+    for r in algorithms(n, false) {
+        let alg = DynRef(r.automaton.as_ref());
         let pi = Permutation::reversed(n);
         let c = construct(&alg, &pi, &ConstructConfig::default()).expect("construct");
         let s = c.stats();
@@ -730,11 +737,11 @@ pub fn e13_adversary_pressure(quick: bool) -> Table {
         SchedSpec::burst(n.div_ceil(2), 2 * n),
         SchedSpec::stagger(2 * n),
     ];
-    let scenarios: Vec<Scenario> = algorithms(n)
+    let scenarios: Vec<Scenario> = algorithms(n, false)
         .iter()
-        .flat_map(|alg| {
+        .flat_map(|r| {
             patterns.iter().map(|sched| {
-                Scenario::builder(alg.name(), n)
+                Scenario::builder(r.label.clone(), n)
                     .passages(passages)
                     .sched(sched.clone())
                     .seeds(1..=seeds)
@@ -779,7 +786,7 @@ pub fn e13_adversary_pressure(quick: bool) -> Table {
 }
 
 /// Runs every experiment, printing each table as it completes. Returns
-/// the tables (used to regenerate EXPERIMENTS.md).
+/// the tables.
 pub fn run_all(quick: bool) -> Vec<Table> {
     type Experiment = (&'static str, fn(bool) -> Table);
     let experiments: Vec<Experiment> = vec![
@@ -877,7 +884,7 @@ mod tests {
     fn e11_fifo_locks_do_not_overtake() {
         let t = e11_fairness(true);
         for row in t.rows() {
-            if ["ticket-sim", "clh-sim", "mcs-sim"].contains(&row[0].as_str()) {
+            if ["ticket", "clh", "mcs", "mcs-sim"].contains(&row[0].as_str()) {
                 assert_eq!(row[3], "0", "{row:?}");
             }
         }

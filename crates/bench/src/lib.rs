@@ -1,11 +1,9 @@
-//! The experiment harness: every table of EXPERIMENTS.md is regenerated
-//! by a function in [`experiments`], and `cargo run -p exclusion-bench
-//! --bin tables` prints them all. The `bench_sweep` binary (module
+//! The experiment harness: every experiment table (e1–e13, listed in
+//! the README's "Examples and experiments" section) is regenerated by a
+//! function in [`experiments`], and `cargo run -p exclusion-bench --bin
+//! tables` prints them all. The `bench_sweep` binary (module
 //! [`sweepbench`]) times the streaming pricing engine against the
-//! record+replay one and emits `BENCH_sweep.json`; the `bench_dispatch`
-//! binary (module [`dispatchbench`]) times the registry's erased-state
-//! dyn path against the monomorphized enum path and emits
-//! `BENCH_dispatch.json`; the `bench_explore` binary (module
+//! record+replay one and emits `BENCH_sweep.json`; the `bench_explore` binary (module
 //! [`explorebench`]) computes the exact worst-case cost tables for
 //! small `n` and emits `BENCH_explore.json`; the `bench_bound` binary
 //! (module [`boundbench`]) plays the adaptive lower-bound adversary
@@ -25,16 +23,15 @@
 //! `BENCH_hw.json`.
 //!
 //! The paper (a theory paper) has no numbered tables or figures; the
-//! experiments here are the executable counterparts of its theorems, as
-//! indexed in DESIGN.md §5. Each function returns a [`table::Table`] so
-//! the binary, the tests and EXPERIMENTS.md all see identical rows.
+//! experiments here are the executable counterparts of its theorems.
+//! Each function returns a [`table::Table`] so the binary and the tests
+//! see identical rows.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod boundbench;
 pub mod crashbench;
-pub mod dispatchbench;
 pub mod experiments;
 pub mod explorebench;
 pub mod hwbench;

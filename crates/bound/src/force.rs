@@ -293,19 +293,18 @@ fn force_impl<P: Probe + Copy>(alg: &dyn DynAutomaton, cfg: &BoundConfig, probe:
     run
 }
 
-/// The names of `registry`'s register-only deadlock-free entries, in
-/// registration order — the algorithms the paper's Ω(n log n) theorem
-/// covers. RMW locks live outside the register-only model, and entries
-/// that disclaim deadlock-freedom (the splitter locks) can strand
-/// every contender, so a forced-passage game against them need never
-/// complete; both are filtered out by their own metadata, so
-/// downstream growth suites and benchmarks cannot drift from the
-/// registry.
+/// The names of `registry`'s entries in the paper's model
+/// ([`AlgorithmInfo::register_only`]: register-only and deadlock-free,
+/// so a forced-passage game against them completes), in registration
+/// order. The filter reads the entries' own metadata, so downstream
+/// growth suites and benchmarks cannot drift from the registry.
+///
+/// [`AlgorithmInfo::register_only`]: exclusion_mutex::AlgorithmInfo::register_only
 #[must_use]
 pub fn register_only(registry: &AlgorithmRegistry) -> Vec<String> {
     registry
         .entries()
-        .filter(|e| !e.info().uses_rmw && e.info().deadlock_free)
+        .filter(|e| e.info().register_only())
         .map(|e| e.info().name.clone())
         .collect()
 }

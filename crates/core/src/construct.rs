@@ -19,7 +19,7 @@
 //!   process is stuck and livelock freedom is violated);
 //! * a **critical step** becomes its own metastep (lines 37–39).
 //!
-//! Two implementation notes, both covered in DESIGN.md §6:
+//! Two implementation notes:
 //!
 //! 1. Because the automaton is deterministic and a process's state
 //!    depends only on its own projection, the stage threads the process
@@ -145,8 +145,8 @@ impl Frontier {
 pub struct ConstructConfig {
     /// Maximum number of steps a single process may take in its stage.
     pub max_steps_per_stage: usize,
-    /// Whether to apply the SR-read ordering completion (DESIGN.md
-    /// §6.1): order every fresh read metastep before the minimal
+    /// Whether to apply the SR-read ordering completion (implementation
+    /// note 2 of the module docs): order every fresh read metastep before the minimal
     /// unexecuted write metastep on its register. Disabling it
     /// reproduces Figure 1 verbatim; the E10 ablation measures how often
     /// the verbatim rule yields executions whose decoding breaks.
@@ -179,7 +179,7 @@ pub struct Construction {
     /// The stage order: π for a full construction, a prefix of it for
     /// [`construct_stages`].
     pub(crate) stages: Vec<ProcessId>,
-    /// How often the SR-read ordering completion (DESIGN.md §6.1)
+    /// How often the SR-read ordering completion (module docs, note 2)
     /// actually added an edge — i.e. a fresh read metastep coexisted
     /// with unexecuted writes on its register, making the read's value
     /// linearization-dependent under Figure 1 verbatim.
@@ -333,7 +333,7 @@ pub fn construct_stages<A: Automaton>(
     };
     // Read metasteps per register that are not yet prereads and may still
     // be overtaken by a future write metastep (cleared at each write
-    // metastep creation; see DESIGN.md §6.1).
+    // metastep creation; see implementation note 2 in the module docs).
     let mut pending_reads: Vec<Vec<MetastepId>> = vec![Vec::new(); registers];
 
     for (stage, &pid) in stages.iter().enumerate() {
@@ -409,7 +409,7 @@ fn generate<A: Automaton>(
                     frontier.advance(&c.dag, m_prev);
                     state = alg.observe(pid, &state, Observation::Read(v));
                 } else {
-                    // Lines 33–35 (+ DESIGN.md §6.1): fresh read
+                    // Lines 33–35 (+ implementation note 2): fresh read
                     // metastep, reading the current value.
                     let cur = current_value(alg, c, &frontier, reg);
                     let next = alg.observe(pid, &state, Observation::Read(cur));
@@ -577,9 +577,10 @@ fn new_read(c: &mut Construction, reg: RegisterId, read: Step) -> MetastepId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exclusion_mutex::{AnyAlgorithm, Bakery, DekkerTournament};
+    use exclusion_mutex::{AlgorithmInfo, AlgorithmRegistry, Bakery, DekkerTournament};
     use exclusion_shmem::testing::Alternator;
     use exclusion_shmem::Automaton;
+    use exclusion_shmem::DynRef;
 
     #[test]
     fn dekker_identity_construction_succeeds() {
@@ -604,7 +605,8 @@ mod tests {
 
     #[test]
     fn whole_suite_constructs_for_assorted_permutations() {
-        for alg in AnyAlgorithm::suite(5) {
+        for r in AlgorithmRegistry::global().instantiate(5, AlgorithmInfo::register_only) {
+            let alg = DynRef(r.automaton.as_ref());
             for pi in [
                 Permutation::identity(5),
                 Permutation::reversed(5),
@@ -706,7 +708,7 @@ mod tests {
     }
 
     /// A two-process automaton exhibiting the read-value ambiguity of
-    /// Figure 1 verbatim (DESIGN.md §6.1): `p0` writes `ℓ := 1` and
+    /// Figure 1 verbatim (module docs, note 2): `p0` writes `ℓ := 1` and
     /// stops; `p1` busy-waits until `ℓ == 0` (the initial value). In
     /// stage 1, `p0`'s write is unexecuted but reading its value would
     /// *not* change `p1`'s state, so `p1`'s read becomes a fresh read
@@ -816,7 +818,8 @@ mod tests {
         // The real algorithms' busy-waits are always released by an
         // already-constructed state-changing write, so the completion's
         // precondition never arises for them (reported in E10b).
-        for alg in AnyAlgorithm::suite(5) {
+        for r in AlgorithmRegistry::global().instantiate(5, AlgorithmInfo::register_only) {
+            let alg = DynRef(r.automaton.as_ref());
             for rank in [0u64, 60, 119] {
                 let pi = Permutation::unrank(5, rank);
                 let c = construct(&alg, &pi, &ConstructConfig::default()).unwrap();

@@ -9,7 +9,7 @@
 //! its signature exactly (writes first, the winner last among them, then
 //! the reads — a legal `Seq` expansion).
 //!
-//! Deviations from the figure, justified in DESIGN.md §6.2: readers that
+//! Deviations from the figure: readers that
 //! arrive before their register's signature are parked and re-examined
 //! whenever the signature changes (the figure's line 19 implicitly
 //! assumes the signature is present), and the preread counter is
@@ -225,12 +225,14 @@ mod tests {
     use crate::construct::{construct, ConstructConfig};
     use crate::encode::encode;
     use crate::perm::Permutation;
-    use exclusion_mutex::{AnyAlgorithm, DekkerTournament};
+    use exclusion_mutex::{AlgorithmInfo, AlgorithmRegistry, DekkerTournament};
     use exclusion_shmem::Automaton;
+    use exclusion_shmem::DynRef;
 
     #[test]
     fn decode_reproduces_a_linearization_for_the_whole_suite() {
-        for alg in AnyAlgorithm::suite(4) {
+        for r in AlgorithmRegistry::global().instantiate(4, AlgorithmInfo::register_only) {
+            let alg = DynRef(r.automaton.as_ref());
             for rank in [0u64, 5, 13, 23] {
                 let pi = Permutation::unrank(4, rank);
                 let c = construct(&alg, &pi, &ConstructConfig::default())

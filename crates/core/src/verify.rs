@@ -246,12 +246,14 @@ pub fn verify_counting<A: Automaton>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exclusion_mutex::{AnyAlgorithm, DekkerTournament};
+    use exclusion_mutex::{AlgorithmInfo, AlgorithmRegistry, DekkerTournament};
     use exclusion_shmem::Automaton;
+    use exclusion_shmem::DynRef;
 
     #[test]
     fn pipeline_passes_for_the_whole_suite() {
-        for alg in AnyAlgorithm::suite(4) {
+        for r in AlgorithmRegistry::global().instantiate(4, AlgorithmInfo::register_only) {
+            let alg = DynRef(r.automaton.as_ref());
             for rank in [0u64, 9, 23] {
                 let pi = Permutation::unrank(4, rank);
                 run_pipeline(&alg, &pi, &ConstructConfig::default(), 5)

@@ -763,7 +763,7 @@ pub fn run_priced_dyn(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exclusion_mutex::{AnyAlgorithm, Bakery, DekkerTournament, Peterson};
+    use exclusion_mutex::{AlgorithmInfo, AlgorithmRegistry, Bakery, DekkerTournament, Peterson};
     use exclusion_shmem::sched::{run_random, run_round_robin, run_sequential};
     use exclusion_shmem::testing::Alternator;
     use exclusion_shmem::Automaton;
@@ -884,7 +884,8 @@ mod tests {
 
     #[test]
     fn whole_suite_has_finite_canonical_costs() {
-        for alg in AnyAlgorithm::suite(6) {
+        for r in AlgorithmRegistry::global().instantiate(6, AlgorithmInfo::register_only) {
+            let alg = DynRef(r.automaton.as_ref());
             let exec = canonical(&alg);
             let (sc, cc, dsm) = all_costs(&alg, &exec).unwrap();
             assert!(sc.total() > 0, "{}", alg.name());
@@ -896,7 +897,8 @@ mod tests {
     #[test]
     fn streaming_tracker_matches_replay_pricers_under_contention() {
         use exclusion_shmem::sched::{run_scheduler, GreedyAdversary, Random};
-        for alg in AnyAlgorithm::full_suite(4) {
+        for r in AlgorithmRegistry::global().instantiate(4, |i| i.deadlock_free) {
+            let alg = DynRef(r.automaton.as_ref());
             let exec = run_scheduler(&alg, &mut Random::new(11), 2, 50_000_000).unwrap();
             let (sc, cc, dsm) = all_costs(&alg, &exec).unwrap();
             let priced = run_priced(&alg, &mut Random::new(11), 2, 50_000_000).unwrap();
@@ -973,7 +975,8 @@ mod tests {
     #[test]
     fn rmr_flavors_match_cc_and_dsm_on_crash_free_runs() {
         use exclusion_shmem::sched::{run_scheduler, GreedyAdversary};
-        for alg in AnyAlgorithm::full_suite(4) {
+        for r in AlgorithmRegistry::global().instantiate(4, |i| i.deadlock_free) {
+            let alg = DynRef(r.automaton.as_ref());
             let exec = run_scheduler(&alg, &mut GreedyAdversary::new(), 2, 50_000_000).unwrap();
             let cc = cc_cost(&alg, &exec).unwrap();
             let dsm = dsm_cost(&alg, &exec).unwrap();

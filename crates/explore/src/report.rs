@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 use crate::{ExploreReport, WorstCaseReport, WorstCost};
 
 /// Schema tag for JSON documents composed from these fragments.
-pub const JSON_SCHEMA: &str = "exclusion-explore/v1";
+pub const JSON_SCHEMA: &str = "exclusion-explore/v2";
 
 /// Escapes a string for embedding in a JSON document — the one copy of
 /// the escaping rules shared by every hand-rolled JSON writer downstream
@@ -92,14 +92,13 @@ pub fn worst_json(r: &WorstCaseReport) -> String {
     let _ = write!(
         out,
         "{{\"algorithm\":\"{}\",\"model\":\"{}\",\"n\":{},\"passages\":{},\
-         \"nodes\":{},\"edges\":{},\"incumbent\":{},\"truncated\":{},",
+         \"nodes\":{},\"edges\":{},\"truncated\":{},",
         esc(&r.algorithm),
         r.model,
         r.n,
         r.passages,
         r.nodes,
         r.edges,
-        r.incumbent,
         r.truncated,
     );
     match &r.cost {

@@ -29,10 +29,9 @@
 //!    replays to exactly that cost via `run_priced` and a
 //!    [`Script`](exclusion_shmem::sched::Script) scheduler.
 //!
-//! The greedy adversary's cost on the same instance is computed first
-//! and reported as [`WorstCaseReport::incumbent`]: it seeds the search
-//! as the initial lower bound (the branch-and-bound incumbent), and the
-//! exact result must — and, pinned by tests, does — dominate it.
+//! The exact result dominates every sampled adversary on the same
+//! instance; tests that pin that dominance run the sampled scheduler
+//! themselves (`tests/exhaustive_bounds.rs`).
 //!
 //! Unboundedness is not an artifact: under SC it is precisely the
 //! remote-spin phenomenon the paper discusses — a process whose
@@ -43,7 +42,6 @@
 use exclusion_cost::CostTracker;
 use exclusion_shmem::dynamic::{DynAutomaton, DynRef};
 use exclusion_shmem::probe::{NoProbe, Probe, SpanScope, TraceEvent};
-use exclusion_shmem::sched::GreedyAdversary;
 use exclusion_shmem::{ProcessId, System};
 
 use crate::graph::{
@@ -74,7 +72,7 @@ pub enum WorstCost {
         cycle: Vec<ProcessId>,
     },
     /// Exploration was truncated (or no schedule completes the passage
-    /// target); only the sampled lower bound is known.
+    /// target); the supremum is not known.
     Unknown,
 }
 
@@ -112,9 +110,6 @@ pub struct WorstCaseReport {
     pub edges: usize,
     /// The verdict, with its witness.
     pub cost: WorstCost,
-    /// The greedy adversary's cost on the same instance — the sampled
-    /// incumbent the exact search starts from and must dominate.
-    pub incumbent: usize,
     /// Whether exploration hit `max_states`/`max_depth`.
     pub truncated: bool,
 }
@@ -129,8 +124,8 @@ pub struct WorstCaseReport {
 /// use exclusion_shmem::testing::Alternator;
 ///
 /// let report = worst_case(&Alternator::new(2), Model::Sc, &ExploreConfig::default());
-/// // The exact optimum dominates the greedy adversary's incumbent.
-/// assert!(report.cost.exact().unwrap() >= report.incumbent);
+/// // Two charged shared steps per process per passage.
+/// assert_eq!(report.cost.exact(), Some(4));
 /// ```
 #[must_use]
 pub fn worst_case(
@@ -194,7 +189,6 @@ pub(crate) fn worst_from_graph(
     live: Option<&[bool]>,
     probe: &mut dyn Probe,
 ) -> WorstCaseReport {
-    let incumbent = greedy_incumbent(alg, model, cfg);
     let mut report = WorstCaseReport {
         algorithm: alg.name(),
         model,
@@ -203,7 +197,6 @@ pub(crate) fn worst_from_graph(
         nodes: graph.nodes.len(),
         edges: graph.edges,
         cost: WorstCost::Unknown,
-        incumbent,
         truncated: graph.truncated,
     };
     if graph.truncated {
@@ -288,20 +281,6 @@ pub(crate) fn worst_from_graph(
         schedule,
     };
     report
-}
-
-/// The greedy adversary's cost under `model` — the sampled incumbent.
-fn greedy_incumbent(alg: &(dyn DynAutomaton + Sync), model: Model, cfg: &ExploreConfig) -> usize {
-    let dref = DynRef(alg);
-    match exclusion_cost::run_priced(
-        &dref,
-        &mut GreedyAdversary::new(),
-        cfg.passages,
-        cfg.max_steps,
-    ) {
-        Ok(priced) => model.total_of(&priced),
-        Err(_) => 0,
-    }
 }
 
 /// Prices an explicit schedule under one cost model by streaming

@@ -205,29 +205,6 @@ impl Automaton for BrokenPeterson {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exclusion_shmem::checker::{check_mutual_exclusion, CheckConfig};
-
-    #[test]
-    fn racy_bool_violates_mutual_exclusion() {
-        let out = check_mutual_exclusion(&RacyBool::new(2), CheckConfig::default());
-        let v = out.violation.expect("the race must be found");
-        assert!(!v.witness.mutual_exclusion(2));
-    }
-
-    #[test]
-    fn broken_peterson_violates_mutual_exclusion() {
-        let out = check_mutual_exclusion(
-            &BrokenPeterson,
-            CheckConfig {
-                passages: 2,
-                max_states: 5_000_000,
-            },
-        );
-        assert!(
-            out.violation.is_some(),
-            "the inverted tie-break must be found"
-        );
-    }
 
     #[test]
     fn racy_bool_sometimes_behaves() {

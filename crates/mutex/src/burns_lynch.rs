@@ -201,28 +201,7 @@ impl Automaton for BurnsLynch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exclusion_shmem::checker::{check_mutual_exclusion, CheckConfig};
     use exclusion_shmem::sched::{run_random, run_round_robin, run_sequential};
-
-    #[test]
-    fn model_check_small_instances() {
-        let out = check_mutual_exclusion(
-            &BurnsLynch::new(2),
-            CheckConfig {
-                passages: 3,
-                max_states: 10_000_000,
-            },
-        );
-        assert!(out.verified(), "n=2: {} states", out.states_explored);
-        let out = check_mutual_exclusion(
-            &BurnsLynch::new(3),
-            CheckConfig {
-                passages: 2,
-                max_states: 20_000_000,
-            },
-        );
-        assert!(out.verified(), "n=3: {} states", out.states_explored);
-    }
 
     #[test]
     fn uses_exactly_one_register_per_process() {

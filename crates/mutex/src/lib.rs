@@ -6,7 +6,7 @@
 //!
 //! | Algorithm | Canonical SC cost | Notes |
 //! |---|---|---|
-//! | [`DekkerTournament`] | Θ(n log n) | local-spin tournament; the tight upper bound (DESIGN.md §6.3) |
+//! | [`DekkerTournament`] | Θ(n log n) | local-spin tournament; the tight upper bound (see [`stale_tournament`]) |
 //! | [`Peterson`] | Θ(n log n) | tournament; remote spins under contention |
 //! | [`Dijkstra`] | Θ(n²) | the original 1965 algorithm |
 //! | [`BurnsLynch`] | Θ(n²) | one shared bit per process (space-optimal) |
@@ -15,7 +15,7 @@
 //! | [`Splitter`] | unbounded | two registers total; fully symmetric under process permutation (the orbit-reduction showcase) |
 //!
 //! The [`rmw`] module adds locks built on read-modify-write primitives
-//! (TAS, TTAS, ticket, CLH, MCS) — outside the paper's register-only
+//! (TAS, TTAS, MCS) — outside the paper's register-only
 //! model, but priced by the same cost models for comparison; the
 //! lower-bound construction rejects them with a diagnostic. The
 //! [`queue`] module re-derives the three queue locks as *composable*
@@ -32,10 +32,12 @@
 //! critical sections — the planted bug crash-aware certification must
 //! catch.
 //!
-//! Every algorithm is exhaustively model-checked for small `n` in this
-//! crate's tests; the deliberately broken locks in [`broken`] and the
-//! subtly racy [`stale_tournament`] reconstruction verify that the
-//! checker is actually capable of rejecting bad protocols.
+//! Every algorithm is exhaustively model-checked for small `n` by the
+//! `exclusion-explore` explorer (the workspace's `tests/mutex_properties.rs`
+//! and `tests/safety_conformance.rs`); the deliberately broken locks in
+//! [`broken`] and the subtly racy [`stale_tournament`] reconstruction
+//! verify that the explorer is actually capable of rejecting bad
+//! protocols.
 //!
 //! # Example
 //!
@@ -69,7 +71,6 @@ pub mod registry;
 pub mod rmw;
 pub mod splitter;
 pub mod stale_tournament;
-pub mod suite;
 pub mod tree;
 
 pub use bakery::Bakery;
@@ -83,6 +84,5 @@ pub use recover::{BrokenRecover, RPeterson, RTas};
 pub use registry::{
     AlgorithmEntry, AlgorithmInfo, AlgorithmRegistry, DynAlgorithm, ResolvedAlgorithm,
 };
-pub use rmw::{ClhSim, McsSim, TasSim, TicketSim, TtasSim};
+pub use rmw::{McsSim, TasSim, TtasSim};
 pub use splitter::Splitter;
-pub use suite::{AnyAlgorithm, AnyState};

@@ -24,14 +24,15 @@
 //! | [`Clh`] | [`SwapTail`] | [`PredecessorFlag`] | [`ReleaseCell`] |
 //! | [`Ticket`] | [`TicketCounter`] | [`TicketMatch`] | [`BumpCounter`] |
 //!
-//! registered as `mcs`, `clh` and `ticket`. Their micro-programs mirror
-//! the monolithic [`crate::rmw`] encodings step for step (pinned by
-//! tests), with one deliberate improvement: [`LinkedTail`] homes *both*
-//! per-process words (`locked[i]` **and** `next[i]`) at process `i`, so
-//! the composable MCS is a true local-spin lock under the DSM model —
-//! finite O(1) remote accesses per passage — while CLH (spinning on the
-//! predecessor's node) and ticket (spinning on the shared counter) are
-//! DSM-pumpable, exactly as the literature classifies them.
+//! registered as `mcs`, `clh` and `ticket`. The composed MCS executes
+//! the same step sequences as the monolithic [`crate::rmw::McsSim`]
+//! (pinned by tests), with one deliberate improvement: [`LinkedTail`]
+//! homes *both* per-process words (`locked[i]` **and** `next[i]`) at
+//! process `i`, so the composable MCS is a true local-spin lock under
+//! the DSM model — finite O(1) remote accesses per passage — while
+//! `mcs-sim`, CLH (spinning on the predecessor's node) and ticket
+//! (spinning on the shared counter) are DSM-pumpable, exactly as the
+//! literature classifies them.
 //!
 //! # Example
 //!
@@ -760,8 +761,7 @@ fn unpack(v: Value) -> (Value, Value) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rmw::{ClhSim, McsSim, TicketSim};
-    use exclusion_shmem::checker::{check_mutual_exclusion, CheckConfig};
+    use crate::rmw::McsSim;
     use exclusion_shmem::sched::{run_random, run_round_robin, run_sequential};
 
     #[test]
@@ -795,57 +795,30 @@ mod tests {
         check(&Ticket::new(3));
     }
 
-    #[test]
-    fn model_check_composed_locks_n2() {
-        fn check<A: Automaton>(alg: &A) {
-            let out = check_mutual_exclusion(
-                alg,
-                CheckConfig {
-                    passages: 2,
-                    max_states: 10_000_000,
-                },
-            );
-            assert!(
-                out.verified(),
-                "{}: {} states, violation {:?}",
-                alg.name(),
-                out.states_explored,
-                out.violation
-            );
-        }
-        check(&Mcs::new(2));
-        check(&Clh::new(2));
-        check(&Ticket::new(2));
-    }
-
     /// The decomposition is conservative: under identical schedules the
-    /// composed locks execute the **same step sequences** as their
-    /// monolithic `crate::rmw` twins (same layout, same micro-program
-    /// order), so every verdict about the twins transfers.
+    /// composed MCS executes the **same step sequences** as the
+    /// monolithic `mcs-sim` (same layout, same micro-program order), so
+    /// every verdict about one transfers to the other.
     #[test]
-    fn composed_locks_trace_identically_to_their_monolithic_twins() {
-        fn twin<A: Automaton, B: Automaton>(a: &A, b: &B, label: &str) {
-            let order: Vec<_> = ProcessId::all(4).collect();
-            let ea = run_sequential(a, &order, 100_000).unwrap();
-            let eb = run_sequential(b, &order, 100_000).unwrap();
-            assert_eq!(ea.steps(), eb.steps(), "{label}: sequential");
-            for passages in [1, 3] {
-                let ea = run_round_robin(a, passages, 1_000_000).unwrap();
-                let eb = run_round_robin(b, passages, 1_000_000).unwrap();
-                assert_eq!(ea.steps(), eb.steps(), "{label}: round robin x{passages}");
-            }
-            for seed in [1, 7, 42] {
-                let ea = run_random(a, 2, 1_000_000, seed).unwrap();
-                let eb = run_random(b, 2, 1_000_000, seed).unwrap();
-                assert_eq!(ea.steps(), eb.steps(), "{label}: random seed {seed}");
-            }
+    fn composed_mcs_traces_identically_to_its_monolithic_twin() {
+        let (a, b) = (Mcs::new(4), McsSim::new(4));
+        let order: Vec<_> = ProcessId::all(4).collect();
+        let ea = run_sequential(&a, &order, 100_000).unwrap();
+        let eb = run_sequential(&b, &order, 100_000).unwrap();
+        assert_eq!(ea.steps(), eb.steps(), "sequential");
+        for passages in [1, 3] {
+            let ea = run_round_robin(&a, passages, 1_000_000).unwrap();
+            let eb = run_round_robin(&b, passages, 1_000_000).unwrap();
+            assert_eq!(ea.steps(), eb.steps(), "round robin x{passages}");
         }
-        twin(&Mcs::new(4), &McsSim::new(4), "mcs");
-        twin(&Clh::new(4), &ClhSim::new(4), "clh");
-        twin(&Ticket::new(4), &TicketSim::new(4), "ticket");
+        for seed in [1, 7, 42] {
+            let ea = run_random(&a, 2, 1_000_000, seed).unwrap();
+            let eb = run_random(&b, 2, 1_000_000, seed).unwrap();
+            assert_eq!(ea.steps(), eb.steps(), "random seed {seed}");
+        }
     }
 
-    /// The one deliberate divergence from the twins: the composable MCS
+    /// The one deliberate divergence from the twin: the composable MCS
     /// homes both per-process words, so its spins (and its link-wait)
     /// are DSM-local.
     #[test]

@@ -2,20 +2,17 @@
 //! metadata, resolving specs like `"filter:levels=5"` into erased
 //! [`DynAutomaton`] handles.
 //!
-//! Where [`AnyAlgorithm`](crate::AnyAlgorithm) closed the family into a
-//! macro-generated enum — adding a lock meant editing the enum, the
-//! parser, the CLI and the tests in lockstep — a registry is a plain
-//! runtime value: downstream crates [`register`](AlgorithmRegistry::register)
-//! entries for their own [`Automaton`](exclusion_shmem::Automaton)s
-//! and every consumer (scenario
-//! builder, sweep runner, CLI listing, benchmarks) picks them up through
-//! the same [`resolve`](AlgorithmRegistry::resolve) call, no enum or
-//! match arm in sight.
+//! A registry is a plain runtime value: downstream crates
+//! [`register`](AlgorithmRegistry::register) entries for their own
+//! [`Automaton`](exclusion_shmem::Automaton)s and every consumer
+//! (scenario builder, sweep runner, CLI listing, benchmarks, tests)
+//! picks them up through the same [`resolve`](AlgorithmRegistry::resolve)
+//! call, no enum or match arm in sight. Families are enumerated by
+//! metadata: [`AlgorithmRegistry::instantiate`] with a predicate such
+//! as [`AlgorithmInfo::register_only`].
 //!
 //! Resolution is also what the sweep hot loop uses, so it is cheap by
-//! construction: one hash lookup plus one constructor call — unlike the
-//! old `AnyAlgorithm::by_name`, which instantiated the entire suite per
-//! lookup (once per *run*).
+//! construction: one hash lookup plus one constructor call.
 //!
 //! # Example: registering a custom lock
 //!
@@ -55,7 +52,7 @@ use exclusion_shmem::dynamic::{DynAutomaton, Packed};
 use exclusion_shmem::spec::{suggest, ParamInfo, Spec, SpecError};
 
 use crate::queue::{Clh, Mcs, Ticket};
-use crate::rmw::{ClhSim, McsSim, TasSim, TicketSim, TtasSim};
+use crate::rmw::{McsSim, TasSim, TtasSim};
 use crate::{
     Bakery, BrokenRecover, BurnsLynch, DekkerTournament, Dijkstra, Filter, Peterson, RPeterson,
     RTas, Splitter,
@@ -110,6 +107,19 @@ pub struct AlgorithmInfo {
     pub cost_class: String,
     /// Parameters the entry accepts in `name:key=value,…` specs.
     pub params: Vec<ParamInfo>,
+}
+
+impl AlgorithmInfo {
+    /// Whether the entry is in the paper's model: register-only and
+    /// deadlock-free — the algorithms the Ω(n log n) theorem covers.
+    /// RMW locks live outside the model, and entries that disclaim
+    /// deadlock-freedom (the splitter locks) can strand every
+    /// contender, so a run driving every process to a passage target
+    /// need never complete.
+    #[must_use]
+    pub fn register_only(&self) -> bool {
+        !self.uses_rmw && self.deadlock_free
+    }
 }
 
 type Resolver = dyn Fn(&Spec, usize) -> Result<DynAlgorithm, SpecError> + Send + Sync;
@@ -200,9 +210,10 @@ impl AlgorithmRegistry {
     }
 
     /// The built-in suite: the six register-only algorithms of the
-    /// paper's model plus the two symmetric splitter locks, the five
-    /// RMW-based locks (in the stable report order
-    /// `AnyAlgorithm::full_suite` uses), and the three
+    /// paper's model plus the two symmetric splitter locks, the three
+    /// simulated RMW spin locks (`tas-sim`, `ttas-sim`, and `mcs-sim`,
+    /// the DSM-homing contrast to the composed `mcs`), the three
+    /// composed queue locks of [`crate::queue`], and the three
     /// crash-recoverable locks of [`crate::recover`] — including the
     /// deliberately planted `broken-recover`.
     #[must_use]
@@ -397,22 +408,6 @@ impl AlgorithmRegistry {
                 Ok(Arc::new(Packed(TtasSim::with_backoff(n, backoff))))
             },
         ));
-        reg.register(plain_with(
-            "ticket-sim",
-            "FIFO ticket lock (simulated)",
-            "rmw",
-            true,
-            true,
-            true,
-            |n| Packed(TicketSim::new(n)),
-        ));
-        reg.register(plain(
-            "clh-sim",
-            "CLH queue lock (simulated)",
-            "rmw",
-            true,
-            ClhSim::new,
-        ));
         reg.register(plain(
             "mcs-sim",
             "MCS queue lock (simulated)",
@@ -532,6 +527,30 @@ impl AlgorithmRegistry {
         self.entries.iter().map(|e| e.info.name.clone()).collect()
     }
 
+    /// Resolves, in registration order, every entry whose metadata
+    /// satisfies `keep` and whose `min_n` floor admits `n`, with its
+    /// default parameters — how tests, experiments and examples
+    /// enumerate a family of locks at one size.
+    ///
+    /// # Panics
+    ///
+    /// If a kept entry fails to resolve with default parameters.
+    #[must_use]
+    pub fn instantiate(
+        &self,
+        n: usize,
+        keep: impl Fn(&AlgorithmInfo) -> bool,
+    ) -> Vec<ResolvedAlgorithm> {
+        self.entries
+            .iter()
+            .filter(|e| keep(&e.info) && e.info.min_n <= n)
+            .map(|e| {
+                self.resolve(&Spec::parse(&e.info.name).expect("entry names parse"), n)
+                    .unwrap_or_else(|err| panic!("{}: {err}", e.info.name))
+            })
+            .collect()
+    }
+
     /// Resolves a parsed spec at process count `n`: checks the name,
     /// the `min_n` floor and the parameters, then runs the entry's
     /// constructor. This is a single hash lookup plus one construction —
@@ -609,8 +628,6 @@ mod tests {
                 "splitter-gate",
                 "tas-sim",
                 "ttas-sim",
-                "ticket-sim",
-                "clh-sim",
                 "mcs-sim",
                 "mcs",
                 "clh",
@@ -620,9 +637,26 @@ mod tests {
                 "broken-recover"
             ]
         );
-        assert_eq!(reg.entries().filter(|e| e.info().uses_rmw).count(), 10);
+        assert_eq!(reg.entries().filter(|e| e.info().uses_rmw).count(), 8);
         assert_eq!(reg.entries().filter(|e| e.info().recoverable).count(), 3);
-        assert_eq!(reg.entries().filter(|e| e.info().symmetric).count(), 6);
+        assert_eq!(reg.entries().filter(|e| e.info().symmetric).count(), 5);
+        let paper: Vec<String> = reg
+            .instantiate(4, AlgorithmInfo::register_only)
+            .into_iter()
+            .map(|r| r.label)
+            .collect();
+        assert_eq!(
+            paper,
+            [
+                "dekker-tree",
+                "peterson",
+                "bakery",
+                "filter",
+                "dijkstra",
+                "burns-lynch",
+                "rpeterson"
+            ]
+        );
     }
 
     #[test]
@@ -688,7 +722,7 @@ mod tests {
         else {
             panic!("{err}")
         };
-        assert_eq!(known.len(), 19);
+        assert_eq!(known.len(), 17);
         assert_eq!(suggestion.as_deref(), Some("peterson"));
     }
 
@@ -724,7 +758,7 @@ mod tests {
         assert_eq!(reg.resolve_str("ttas-sim", 3).unwrap().label, "ttas-sim");
         let r = reg.resolve_str("ttas", 3).unwrap();
         assert_eq!(r.automaton.name(), "peterson", "spelling reassigned");
-        assert_eq!(reg.names().len(), 20, "appended, not replaced");
+        assert_eq!(reg.names().len(), 18, "appended, not replaced");
     }
 
     #[test]

@@ -275,165 +275,6 @@ impl Automaton for TtasSim {
     }
 }
 
-/// Ticket lock: `fetch_add` draws a ticket; the holder bumps
-/// `serving` on release. FIFO-fair.
-#[derive(Clone, Copy, Debug)]
-pub struct TicketSim {
-    n: usize,
-}
-
-impl TicketSim {
-    /// An `n`-process ticket lock.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        TicketSim { n }
-    }
-
-    fn next_reg(&self) -> RegisterId {
-        RegisterId::new(0)
-    }
-    fn serving(&self) -> RegisterId {
-        RegisterId::new(1)
-    }
-}
-
-impl Automaton for TicketSim {
-    type State = RmwState;
-
-    fn processes(&self) -> usize {
-        self.n
-    }
-    fn registers(&self) -> usize {
-        2
-    }
-    fn initial_state(&self, _p: ProcessId) -> RmwState {
-        RmwState::at(Phase::Remainder, 0)
-    }
-
-    fn next_step(&self, _p: ProcessId, s: &RmwState) -> NextStep {
-        match s.phase {
-            Phase::Remainder => NextStep::Crit(CritKind::Try),
-            Phase::Entry(0) => NextStep::Rmw(self.next_reg(), RmwOp::FetchAdd(1)),
-            Phase::Entry(_) => NextStep::Read(self.serving()),
-            Phase::Entering => NextStep::Crit(CritKind::Enter),
-            Phase::Critical => NextStep::Crit(CritKind::Exit),
-            // aux still holds our ticket; hand off to ticket + 1.
-            Phase::Exit(_) => NextStep::Write(self.serving(), s.aux + 1),
-            Phase::Resting => NextStep::Crit(CritKind::Rem),
-        }
-    }
-
-    fn observe(&self, _p: ProcessId, s: &RmwState, obs: Observation) -> RmwState {
-        common_crit!(self, s, obs, RmwState::at(Phase::Entry(0), 0));
-        match (s.phase, obs) {
-            (Phase::Entry(0), Observation::Rmw(ticket)) => RmwState::at(Phase::Entry(1), ticket),
-            (Phase::Entry(1), Observation::Read(serving)) => {
-                if serving == s.aux {
-                    RmwState::at(Phase::Entering, s.aux)
-                } else {
-                    *s // not our turn yet: single-register spin, SC-free
-                }
-            }
-            (Phase::Exit(0), Observation::Write) => RmwState::at(Phase::Resting, 0),
-            _ => unreachable!("ticket: {s:?} cannot observe {obs:?}"),
-        }
-    }
-
-    fn name(&self) -> String {
-        "ticket-sim".to_string()
-    }
-
-    // Tickets are draw numbers, not pids: states and register values
-    // are pid-free, so the default permutation hooks suffice.
-    fn symmetric(&self) -> bool {
-        true
-    }
-}
-
-/// CLH queue lock: swap into the tail, spin on the predecessor's node
-/// flag; nodes recycle exactly as in the pointer-based original.
-#[derive(Clone, Copy, Debug)]
-pub struct ClhSim {
-    n: usize,
-}
-
-impl ClhSim {
-    /// An `n`-process CLH lock.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        ClhSim { n }
-    }
-
-    fn node(&self, i: Value) -> RegisterId {
-        RegisterId::new(i as usize)
-    }
-    fn tail(&self) -> RegisterId {
-        RegisterId::new(self.n + 1)
-    }
-}
-
-impl Automaton for ClhSim {
-    type State = RmwState;
-
-    fn processes(&self) -> usize {
-        self.n
-    }
-    fn registers(&self) -> usize {
-        // n + 1 node flags (one sentinel) plus the tail.
-        self.n + 2
-    }
-    fn initial_value(&self, reg: RegisterId) -> Value {
-        if reg == self.tail() {
-            self.n as Value // tail starts at the released sentinel node
-        } else {
-            0
-        }
-    }
-    fn initial_state(&self, p: ProcessId) -> RmwState {
-        // aux packs (my_node, pred); initially my_node = own index.
-        RmwState::at(Phase::Remainder, pack(p.index() as Value, 0))
-    }
-
-    fn next_step(&self, _p: ProcessId, s: &RmwState) -> NextStep {
-        let (my_node, pred) = unpack(s.aux);
-        match s.phase {
-            Phase::Remainder => NextStep::Crit(CritKind::Try),
-            Phase::Entry(0) => NextStep::Write(self.node(my_node), 1),
-            Phase::Entry(1) => NextStep::Rmw(self.tail(), RmwOp::Swap(my_node)),
-            Phase::Entry(_) => NextStep::Read(self.node(pred)),
-            Phase::Entering => NextStep::Crit(CritKind::Enter),
-            Phase::Critical => NextStep::Crit(CritKind::Exit),
-            Phase::Exit(_) => NextStep::Write(self.node(my_node), 0),
-            Phase::Resting => NextStep::Crit(CritKind::Rem),
-        }
-    }
-
-    fn observe(&self, _p: ProcessId, s: &RmwState, obs: Observation) -> RmwState {
-        let (my_node, pred) = unpack(s.aux);
-        common_crit!(self, s, obs, RmwState::at(Phase::Entry(0), s.aux));
-        match (s.phase, obs) {
-            (Phase::Entry(0), Observation::Write) => RmwState::at(Phase::Entry(1), s.aux),
-            (Phase::Entry(1), Observation::Rmw(old_tail)) => {
-                RmwState::at(Phase::Entry(2), pack(my_node, old_tail))
-            }
-            (Phase::Entry(2), Observation::Read(flag)) => {
-                if flag == 0 {
-                    RmwState::at(Phase::Entering, s.aux)
-                } else {
-                    *s // predecessor still holds: single-register spin
-                }
-            }
-            // Release our node and recycle the predecessor's.
-            (Phase::Exit(0), Observation::Write) => RmwState::at(Phase::Resting, pack(pred, 0)),
-            _ => unreachable!("clh: {s:?} cannot observe {obs:?}"),
-        }
-    }
-
-    fn name(&self) -> String {
-        "clh-sim".to_string()
-    }
-}
-
 /// MCS queue lock: swap into the tail, link behind the predecessor,
 /// spin on the thread's own flag; exit CASes the tail out or hands off.
 #[derive(Clone, Copy, Debug)]
@@ -554,27 +395,23 @@ impl Automaton for McsSim {
     }
 }
 
-fn pack(hi: Value, lo: Value) -> Value {
-    hi << 32 | lo
-}
-
-fn unpack(v: Value) -> (Value, Value) {
-    (v >> 32, v & 0xFFFF_FFFF)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exclusion_shmem::checker::{check_mutual_exclusion, CheckConfig};
+    use crate::registry::{AlgorithmRegistry, ResolvedAlgorithm};
+    use exclusion_shmem::dynamic::DynRef;
     use exclusion_shmem::sched::{run_random, run_round_robin, run_sequential};
 
-    fn rmw_algorithms(n: usize) -> Vec<crate::AnyAlgorithm> {
-        crate::AnyAlgorithm::rmw_suite(n)
+    /// The crash-free RMW locks of the standard registry: this
+    /// module's simulated spin locks and the composed queue locks.
+    fn rmw_algorithms(n: usize) -> Vec<ResolvedAlgorithm> {
+        AlgorithmRegistry::global().instantiate(n, |i| i.uses_rmw && !i.recoverable)
     }
 
     #[test]
     fn all_rmw_locks_complete_canonical_runs() {
-        for alg in rmw_algorithms(5) {
+        for r in rmw_algorithms(5) {
+            let alg = DynRef(r.automaton.as_ref());
             let order: Vec<_> = ProcessId::all(5).collect();
             let exec = run_sequential(&alg, &order, 100_000)
                 .unwrap_or_else(|e| panic!("{}: {e}", alg.name()));
@@ -585,7 +422,8 @@ mod tests {
 
     #[test]
     fn all_rmw_locks_are_safe_under_contention() {
-        for alg in rmw_algorithms(3) {
+        for r in rmw_algorithms(3) {
+            let alg = DynRef(r.automaton.as_ref());
             let exec = run_round_robin(&alg, 2, 1_000_000)
                 .unwrap_or_else(|e| panic!("{}: {e}", alg.name()));
             assert!(exec.mutual_exclusion(3), "{}", alg.name());
@@ -598,49 +436,11 @@ mod tests {
     }
 
     #[test]
-    fn model_check_rmw_locks_n2() {
-        for alg in rmw_algorithms(2) {
-            let out = check_mutual_exclusion(
-                &alg,
-                CheckConfig {
-                    passages: 2,
-                    max_states: 10_000_000,
-                },
-            );
-            assert!(
-                out.verified(),
-                "{}: {} states, violation {:?}",
-                alg.name(),
-                out.states_explored,
-                out.violation
-            );
-        }
-    }
-
-    #[test]
-    fn model_check_rmw_locks_n3_single_passage() {
-        for alg in rmw_algorithms(3) {
-            let out = check_mutual_exclusion(
-                &alg,
-                CheckConfig {
-                    passages: 1,
-                    max_states: 20_000_000,
-                },
-            );
-            assert!(
-                out.verified(),
-                "{}: {} states",
-                alg.name(),
-                out.states_explored
-            );
-        }
-    }
-
-    #[test]
     fn rmw_canonical_cost_is_constant_per_passage() {
         // Queue and TAS locks acquire in O(1) accesses uncontended —
         // contrast with Θ(log n) tournaments and Θ(n) scanners.
-        for alg in rmw_algorithms(16) {
+        for r in rmw_algorithms(16) {
+            let alg = DynRef(r.automaton.as_ref());
             let order: Vec<_> = ProcessId::all(16).collect();
             let exec = run_sequential(&alg, &order, 100_000).unwrap();
             let per_passage = exec.shared_accesses() as f64 / 16.0;
@@ -649,29 +449,6 @@ mod tests {
                 "{}: {per_passage} accesses per passage",
                 alg.name()
             );
-        }
-    }
-
-    #[test]
-    fn ticket_lock_is_fifo() {
-        // Under round robin, entry order equals draw order.
-        let alg = TicketSim::new(4);
-        let exec = run_round_robin(&alg, 1, 100_000).unwrap();
-        assert_eq!(exec.critical_order(), ProcessId::all(4).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn clh_nodes_recycle() {
-        let alg = ClhSim::new(2);
-        let exec = run_round_robin(&alg, 4, 1_000_000).unwrap();
-        assert!(exec.mutual_exclusion(2));
-        assert_eq!(exec.critical_order().len(), 8);
-    }
-
-    #[test]
-    fn pack_unpack_roundtrip() {
-        for (hi, lo) in [(0u64, 0u64), (3, 7), (1 << 20, 1 << 30)] {
-            assert_eq!(unpack(pack(hi, lo)), (hi, lo));
         }
     }
 

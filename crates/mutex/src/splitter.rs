@@ -13,9 +13,8 @@
 //! the gate (`Y := ⊥`) on exit; losers go back to `X := me` and wait
 //! for the gate. Losers never write `Y` to ⊥ — only exiting winners
 //! do. (The tempting "clear your own stale `Y` claim before retrying"
-//! optimization is *unsound*: the checker in this module's tests finds
-//! a two-process trace where a loser's cleanup reopens the gate while
-//! the winner is still inside.) Every use of a process id is
+//! optimization is *unsound*: a loser's cleanup can reopen the gate
+//! while the winner is still inside.) Every use of a process id is
 //! *covariant* — write your own id, compare a read against it — both
 //! registers are global, and the initial state is id-independent, so
 //! the automaton honors the full [`Automaton::symmetric`] contract,
@@ -252,7 +251,6 @@ impl Automaton for Splitter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exclusion_shmem::checker::{check_mutual_exclusion, CheckConfig};
     use exclusion_shmem::sched::run_sequential;
 
     #[test]
@@ -261,28 +259,6 @@ mod tests {
             let order: Vec<_> = ProcessId::all(4).collect();
             let exec = run_sequential(&alg, &order, 100_000).unwrap();
             assert!(exec.is_canonical(4), "{}", alg.name());
-        }
-    }
-
-    #[test]
-    fn model_check_small_instances() {
-        for n in 2..=3 {
-            for alg in [Splitter::new(n), Splitter::gated(n)] {
-                let out = check_mutual_exclusion(
-                    &alg,
-                    CheckConfig {
-                        passages: 2,
-                        max_states: 2_000_000,
-                    },
-                );
-                assert!(!out.truncated, "{} n={n} truncated", alg.name());
-                assert!(
-                    out.violation.is_none(),
-                    "{} n={n}: {:?}",
-                    alg.name(),
-                    out.violation
-                );
-            }
         }
     }
 

@@ -1,6 +1,6 @@
 //! A **deliberately retained, subtly unsafe** local-spin tournament — a
 //! from-memory reconstruction of Yang & Anderson's two-process element
-//! whose staleness race the model checker finds automatically.
+//! whose staleness race the exhaustive explorer finds automatically.
 //!
 //! Each node of the arbitration tree uses presence registers
 //! `C[v][side]`, a tie-break register `T[v]`, and spin mailboxes
@@ -22,15 +22,14 @@
 //!    tie-break genuinely names it), and walks into an occupied critical
 //!    section.
 //!
-//! The 48-step witness is found by
-//! [`check_mutual_exclusion`](exclusion_shmem::checker::check_mutual_exclusion)
-//! at `n = 2`, three passages, in a few thousand states — see this
-//! module's tests, and DESIGN.md §6.3 for why the workspace's actual
+//! `exclusion-explore` finds a replayable witness at `n = 2` within two
+//! passages per process, in a few thousand states
+//! (`tests/mutex_properties.rs`). This is why the workspace's actual
 //! upper-bound witness is [`DekkerTournament`](crate::DekkerTournament)
 //! instead. Exhausting both exit orders (withdraw-then-read and
 //! read-then-withdraw) shifts but does not close the window, which is
 //! precisely why this artifact is worth keeping: it demonstrates that the
-//! checker rejects plausible-but-wrong synchronization, so its green
+//! explorer rejects plausible-but-wrong synchronization, so its green
 //! verdicts on the real suite carry weight.
 
 use exclusion_shmem::{Automaton, CritKind, NextStep, Observation, ProcessId, RegisterId, Value};
@@ -391,7 +390,6 @@ impl Automaton for StaleTournament {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exclusion_shmem::checker::{check_mutual_exclusion, CheckConfig};
     use exclusion_shmem::sched::{run_random, run_round_robin, run_sequential};
 
     #[test]
@@ -433,48 +431,6 @@ mod tests {
                 assert!(exec.mutual_exclusion(n), "n = {n}, seed = {seed}");
             }
         }
-    }
-
-    #[test]
-    fn model_checker_finds_the_staleness_race() {
-        let alg = StaleTournament::new(2);
-        let out = check_mutual_exclusion(
-            &alg,
-            CheckConfig {
-                passages: 3,
-                max_states: 5_000_000,
-            },
-        );
-        let v = out.violation.expect("the stale wake-up race must be found");
-        // The witness is a genuine execution of the automaton ending with
-        // both processes in the critical section.
-        let sys = exclusion_shmem::replay(&alg, v.witness.steps(), |_| {}).unwrap();
-        assert_eq!(sys.in_critical().count(), 2);
-        // It takes at least two full passages to set up the stale
-        // wake-up, so the witness is not a trivial interleaving.
-        assert!(v.witness.len() > 30, "witness length {}", v.witness.len());
-    }
-
-    #[test]
-    fn race_already_manifests_within_two_passages() {
-        // A tighter variant of the stale wake-up fits in two passages per
-        // process; a single passage each is race-free.
-        let out = check_mutual_exclusion(
-            &StaleTournament::new(2),
-            CheckConfig {
-                passages: 2,
-                max_states: 5_000_000,
-            },
-        );
-        assert!(out.violation.is_some());
-        let out = check_mutual_exclusion(
-            &StaleTournament::new(2),
-            CheckConfig {
-                passages: 1,
-                max_states: 5_000_000,
-            },
-        );
-        assert!(out.verified(), "explored {} states", out.states_explored);
     }
 
     #[test]

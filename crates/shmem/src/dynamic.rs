@@ -39,8 +39,7 @@
 //!    (pinned by `tests/streaming_equivalence.rs`);
 //! 3. a `DynState` belongs to the automaton that created it. Feeding a
 //!    state to a different automaton panics (boxed, on the downcast) or
-//!    produces garbage words (inline) — exactly like mixing `AnyState`s
-//!    across `AnyAlgorithm`s used to. Drivers never do this; the
+//!    produces garbage words (inline). Drivers never do this; the
 //!    contract only binds custom code that juggles several erased
 //!    algorithms at once.
 //!

@@ -433,7 +433,6 @@ fn run_explore(argv: &[String]) -> Result<(), String> {
         "safe",
         "dl-free",
         "worst",
-        "greedy",
         "note",
     ]
     .iter()
@@ -524,9 +523,6 @@ fn run_explore(argv: &[String]) -> Result<(), String> {
             worst
                 .as_ref()
                 .map_or_else(|| "-".into(), |w| xreport::cost_label(&w.cost)),
-            worst
-                .as_ref()
-                .map_or_else(|| "-".into(), |w| w.incumbent.to_string()),
             note,
         ]);
         let mut item = format!("{{\"explore\":{}", xreport::explore_json(&report));

@@ -189,8 +189,8 @@ pub fn hardware_twin(alg: &str, threads: usize) -> Option<Box<dyn RawLock>> {
     let canonical = alg.split(':').next().unwrap_or(alg);
     Some(match canonical {
         "mcs" | "mcs-sim" => Box::new(McsLock::new(threads)) as Box<dyn RawLock>,
-        "clh" | "clh-sim" => Box::new(ClhLock::new(threads)),
-        "ticket" | "ticket-sim" => Box::new(TicketLock::new(threads)),
+        "clh" => Box::new(ClhLock::new(threads)),
+        "ticket" => Box::new(TicketLock::new(threads)),
         "tas" | "tas-sim" => Box::new(TasLock::new(threads)),
         "ttas" | "ttas-sim" => Box::new(TtasLock::new(threads)),
         "peterson" => Box::new(PetersonTreeLock::new(threads)),

@@ -7,9 +7,14 @@
 //! ```
 
 use exclusion::cost::all_costs;
-use exclusion::mutex::AnyAlgorithm;
+use exclusion::mutex::{AlgorithmRegistry, ResolvedAlgorithm};
 use exclusion::shmem::sched::{run_random, run_sequential};
-use exclusion::shmem::{Automaton, ProcessId};
+use exclusion::shmem::{Automaton, DynRef, ProcessId};
+
+/// Every crash-free lock of the standard registry, register-only first.
+fn suite(n: usize) -> Vec<ResolvedAlgorithm> {
+    AlgorithmRegistry::global().instantiate(n, |i| i.deadlock_free && !i.recoverable)
+}
 
 fn main() {
     let n: usize = std::env::args()
@@ -23,7 +28,8 @@ fn main() {
         "{:>14} {:>8} {:>8} {:>8} {:>8}",
         "algorithm", "steps", "SC", "CC", "DSM"
     );
-    for alg in AnyAlgorithm::full_suite(n) {
+    for r in suite(n) {
+        let alg = DynRef(r.automaton.as_ref());
         let exec = run_sequential(&alg, &order, 10_000_000).expect("canonical run");
         let (sc, cc, dsm) = all_costs(&alg, &exec).expect("replay");
         println!(
@@ -41,7 +47,8 @@ fn main() {
         "{:>14} {:>12} {:>12} {:>14}",
         "algorithm", "SC/passage", "CC/passage", "max SC/process"
     );
-    for alg in AnyAlgorithm::full_suite(n) {
+    for r in suite(n) {
+        let alg = DynRef(r.automaton.as_ref());
         let mut sc_sum = 0usize;
         let mut cc_sum = 0usize;
         let mut max_proc = 0usize;

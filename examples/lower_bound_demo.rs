@@ -10,8 +10,8 @@
 //! `filter`, `dijkstra`, `burns-lynch`.
 
 use exclusion::lb::{construct, encode, log2_factorial, ConstructConfig, Permutation};
-use exclusion::mutex::AnyAlgorithm;
-use exclusion::shmem::Automaton;
+use exclusion::mutex::AlgorithmRegistry;
+use exclusion::shmem::DynRef;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -24,16 +24,17 @@ fn main() {
         "n", "min C", "avg C", "max C", "log2(n!)", "max bits", "bits/C"
     );
     for n in [2usize, 4, 8, 16, 32, 64] {
-        let Some(alg) = AnyAlgorithm::suite(n)
-            .into_iter()
-            .find(|a| a.name() == wanted)
-        else {
-            eprintln!("unknown algorithm `{wanted}`");
-            std::process::exit(2);
+        let resolved = match AlgorithmRegistry::global().resolve_str(&wanted, n) {
+            Ok(r) if !r.uses_rmw => r,
+            _ => {
+                eprintln!("unknown register-only algorithm `{wanted}`");
+                std::process::exit(2);
+            }
         };
-        if alg.name() == "filter" && n > 16 {
+        if resolved.label == "filter" && n > 16 {
             continue; // cubic baseline gets slow beyond this
         }
+        let alg = DynRef(resolved.automaton.as_ref());
         let mut rng = StdRng::seed_from_u64(7 * n as u64);
         let mut perms = vec![Permutation::identity(n), Permutation::reversed(n)];
         perms.extend((0..8).map(|_| Permutation::random(n, &mut rng)));

@@ -4,8 +4,8 @@
 //! This facade crate re-exports the workspace:
 //!
 //! * [`shmem`] — the paper's shared-memory model: deterministic process
-//!   automata over registers, executions, replay, schedulers, and an
-//!   explicit-state model checker;
+//!   automata over registers, executions, replay, schedulers, and crash
+//!   injection;
 //! * [`mutex`] — register-only mutual exclusion algorithms as automata
 //!   (tournaments, bakery, filter, Dijkstra, Burns–Lynch, and
 //!   deliberately broken locks);
@@ -39,8 +39,8 @@
 //!   deterministic metrics aggregation, Chrome trace-event export, and
 //!   count-throttled live progress — zero overhead when off.
 //!
-//! See `README.md` for a tour, `DESIGN.md` for the system inventory and
-//! the paper-to-code mapping, and `EXPERIMENTS.md` for the reproduced
+//! See `README.md` for a tour: its "Crate tour" section is the system
+//! inventory, and "Examples and experiments" lists the reproduced
 //! results.
 //!
 //! # Quickstart

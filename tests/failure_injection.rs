@@ -3,11 +3,9 @@
 //! not silently accept them, and every rejection must come with a
 //! replayable witness or a precise diagnosis.
 //!
-//! Historically this suite drove the legacy `lb::construct` and
-//! `shmem::checker` paths; it now exercises the same guarantees through
-//! the registry + explorer stack (which is what the CLI and the
-//! benchmarks run), plus the fault-injection layer this repo's crash
-//! model lives in.
+//! The guarantees are exercised through the registry + explorer stack
+//! (which is what the CLI and the benchmarks run), plus the
+//! fault-injection layer this repo's crash model lives in.
 
 use exclusion::explore::{certify_recoverable, conformance_registry, explore, ExploreConfig};
 use exclusion::mutex::broken::{BrokenPeterson, RacyBool};

@@ -1,12 +1,12 @@
 //! The adversary against ground truth, where ground truth exists: at
 //! n ∈ {2, 3} the exhaustive engine (`exclusion-explore`, PR 4)
 //! computes the *exact* SC supremum, so the adaptive adversary's forced
-//! cost can be sandwiched — it must dominate the greedy incumbent the
-//! exhaustive search starts from, and (being a real, replayable
-//! schedule) it can never exceed the exact optimum. Where the supremum
-//! is finite the forced cost is pinned cell by cell; where it is
-//! unbounded (remote spins, pumpable forever) the adversary's finite
-//! fair-execution cost strictly beats the incumbent instead.
+//! cost can be sandwiched — it must dominate the greedy baseline the
+//! game plays beside it, and (being a real, replayable schedule) it can
+//! never exceed the exact optimum. Where the supremum is finite the
+//! forced cost is pinned cell by cell; where it is unbounded (remote
+//! spins, pumpable forever) the adversary's finite fair-execution cost
+//! strictly beats the greedy baseline instead.
 //!
 //! Every witness schedule must also replay bit-identically through the
 //! streaming pricer: the same `Script` driven twice produces the same
@@ -18,7 +18,7 @@ use exclusion::explore::{worst_case, ExploreConfig, Model};
 use exclusion::mutex::registry::AlgorithmRegistry;
 use exclusion::shmem::DynRef;
 
-/// `incumbent ≤ forced ≤ exact` for every register-only algorithm at
+/// `greedy ≤ forced ≤ exact` for every register-only algorithm at
 /// every exhaustively-searchable size; the upper bound is vacuous for
 /// the unbounded (remote-spin) cells, where the forced cost must
 /// instead be a finite value the fair game extracted.
@@ -34,10 +34,10 @@ fn forced_cost_is_sandwiched_by_the_exhaustive_search() {
             assert!(run.completed(), "{name} n={n}");
             let worst = worst_case(alg.as_ref(), Model::Sc, &xcfg);
             assert!(
-                run.forced[SC] >= worst.incumbent,
-                "{name} n={n}: forced {} below the exhaustive incumbent {}",
+                run.forced[SC] >= run.greedy[SC],
+                "{name} n={n}: forced {} below the greedy baseline {}",
                 run.forced[SC],
-                worst.incumbent
+                run.greedy[SC]
             );
             match worst.cost.exact() {
                 Some(exact) => assert!(

@@ -8,7 +8,7 @@ use exclusion::serve::{serve, ServeJob, ServeOptions};
 use proptest::prelude::*;
 
 /// Registry algorithms cheap enough for a property grid.
-const ALGORITHMS: [&str; 4] = ["peterson", "dekker-tree", "tas-sim", "ticket-sim"];
+const ALGORITHMS: [&str; 4] = ["peterson", "dekker-tree", "tas-sim", "ticket"];
 
 /// One spec per arrival-model family, parameters picked to exercise
 /// idle gaps, saturation, and everything between.

@@ -2,9 +2,9 @@
 //! itself — replay determinism, execution predicates, scheduler
 //! equivalences.
 
-use exclusion::mutex::AnyAlgorithm;
+use exclusion::mutex::{AlgorithmInfo, AlgorithmRegistry};
 use exclusion::shmem::sched::{run_random, run_sequential, run_with};
-use exclusion::shmem::{replay, replay_collect, Automaton, CritKind, ProcessId, Step};
+use exclusion::shmem::{replay, replay_collect, Automaton, CritKind, DynRef, ProcessId, Step};
 use proptest::prelude::*;
 
 proptest! {
@@ -15,10 +15,13 @@ proptest! {
     #[test]
     fn replay_is_deterministic(
         n in 1usize..=5,
-        alg_idx in 0usize..11,
+        alg_idx in 0usize..15,
         seed in any::<u64>(),
     ) {
-        let alg = AnyAlgorithm::full_suite(n).remove(alg_idx);
+        let r = AlgorithmRegistry::global()
+            .instantiate(n, |i| i.deadlock_free)
+            .remove(alg_idx);
+        let alg = DynRef(r.automaton.as_ref());
         let exec = run_random(&alg, 1, 50_000_000, seed).expect("terminates");
         let a = replay_collect(&alg, exec.steps()).expect("replays");
         let b = replay_collect(&alg, exec.steps()).expect("replays");
@@ -31,10 +34,13 @@ proptest! {
     #[test]
     fn reads_return_last_written_value(
         n in 1usize..=4,
-        alg_idx in 0usize..11,
+        alg_idx in 0usize..15,
         seed in any::<u64>(),
     ) {
-        let alg = AnyAlgorithm::full_suite(n).remove(alg_idx);
+        let r = AlgorithmRegistry::global()
+            .instantiate(n, |i| i.deadlock_free)
+            .remove(alg_idx);
+        let alg = DynRef(r.automaton.as_ref());
         let exec = run_random(&alg, 1, 50_000_000, seed).expect("terminates");
         let outcomes = replay_collect(&alg, exec.steps()).expect("replays");
         let mut shadow: Vec<u64> = (0..alg.registers())
@@ -63,11 +69,14 @@ proptest! {
     #[test]
     fn prefix_and_projection_laws(
         n in 1usize..=4,
-        alg_idx in 0usize..6,
+        alg_idx in 0usize..7,
         seed in any::<u64>(),
         cut in 0usize..200,
     ) {
-        let alg = AnyAlgorithm::suite(n).remove(alg_idx);
+        let r = AlgorithmRegistry::global()
+            .instantiate(n, AlgorithmInfo::register_only)
+            .remove(alg_idx);
+        let alg = DynRef(r.automaton.as_ref());
         let exec = run_random(&alg, 1, 50_000_000, seed).expect("terminates");
         let prefix = exec.prefix(cut.min(exec.len()));
         prop_assert!(prefix.well_formed(n));
@@ -86,10 +95,13 @@ proptest! {
     #[test]
     fn schedule_determines_execution(
         n in 1usize..=4,
-        alg_idx in 0usize..6,
+        alg_idx in 0usize..7,
         seed in any::<u64>(),
     ) {
-        let alg = AnyAlgorithm::suite(n).remove(alg_idx);
+        let r = AlgorithmRegistry::global()
+            .instantiate(n, AlgorithmInfo::register_only)
+            .remove(alg_idx);
+        let alg = DynRef(r.automaton.as_ref());
         let exec = run_random(&alg, 1, 50_000_000, seed).expect("terminates");
         let schedule: Vec<ProcessId> = exec.iter().map(Step::pid).collect();
         let mut i = 0;
@@ -107,7 +119,8 @@ proptest! {
 fn sequential_runs_compose() {
     // Running [p0], then continuing with [p1] from scratch, equals the
     // canonical sequential run of [p0, p1] — stages do not interfere.
-    for alg in AnyAlgorithm::suite(3) {
+    for r in AlgorithmRegistry::global().instantiate(3, AlgorithmInfo::register_only) {
+        let alg = DynRef(r.automaton.as_ref());
         let order: Vec<_> = ProcessId::all(3).collect();
         let full = run_sequential(&alg, &order, 100_000).unwrap();
         // Count rem steps: exactly one per process, in order.

@@ -2,15 +2,18 @@
 //! replay-based pricers — totals, per-process and per-register
 //! breakdowns — for every algorithm of the registry under every
 //! scheduling policy and several seeds, **through the erased-state dyn
-//! path**: the recorded leg drives the monomorphized `AnyAlgorithm`
-//! enum, the streaming leg drives the registry's `Arc<dyn DynAutomaton>`
-//! handle, so one assertion pins streaming == replay *and* dyn ==
-//! typed at once. The incrementally maintained scheduler views must
+//! path**: the recorded leg drives the concrete lock type, the
+//! streaming leg drives the registry's `Arc<dyn DynAutomaton>` handle,
+//! so one assertion pins streaming == replay *and* dyn == typed at
+//! once. The incrementally maintained scheduler views must
 //! also equal a from-scratch rebuild after every step of an
 //! adversarial run driven through the dyn path.
 
 use exclusion::cost::{all_costs, run_priced, run_priced_dyn, CostTracker};
-use exclusion::mutex::{AlgorithmRegistry, AnyAlgorithm};
+use exclusion::mutex::{
+    AlgorithmRegistry, Bakery, BrokenRecover, BurnsLynch, Clh, DekkerTournament, Dijkstra, Filter,
+    Mcs, McsSim, Peterson, RPeterson, RTas, TasSim, Ticket, TtasSim,
+};
 use exclusion::shmem::sched::run_scheduler;
 use exclusion::shmem::testing::fixtures;
 use exclusion::shmem::{Automaton, DynRef, ProcessId, RegisterId, System, ViewTable};
@@ -50,19 +53,24 @@ fn dyn_streaming_costs_match_typed_replay_costs_on_the_full_grid() {
             .resolve_str(&name, n)
             .expect("registry entry")
             .automaton;
-        // Registry-native entries (the recoverable locks) have no
-        // typed-enum twin; their recorded leg drives an independently
-        // resolved erased handle instead, which still pins streaming
-        // == replay across two separately constructed automata.
-        match AnyAlgorithm::by_name(&name, n) {
-            Some(typed) => grid_leg(&name, &typed, erased, n),
-            None => {
-                let twin = algs
-                    .resolve_str(&name, n)
-                    .expect("registry entry")
-                    .automaton;
-                grid_leg(&name, &DynRef(twin.as_ref()), erased, n);
-            }
+        // The recorded leg drives the entry's concrete lock type.
+        match name.as_str() {
+            "dekker-tree" => grid_leg(&name, &DekkerTournament::new(n), erased, n),
+            "peterson" => grid_leg(&name, &Peterson::new(n), erased, n),
+            "bakery" => grid_leg(&name, &Bakery::new(n), erased, n),
+            "filter" => grid_leg(&name, &Filter::new(n), erased, n),
+            "dijkstra" => grid_leg(&name, &Dijkstra::new(n), erased, n),
+            "burns-lynch" => grid_leg(&name, &BurnsLynch::new(n), erased, n),
+            "tas-sim" => grid_leg(&name, &TasSim::new(n), erased, n),
+            "ttas-sim" => grid_leg(&name, &TtasSim::new(n), erased, n),
+            "mcs-sim" => grid_leg(&name, &McsSim::new(n), erased, n),
+            "mcs" => grid_leg(&name, &Mcs::new(n), erased, n),
+            "clh" => grid_leg(&name, &Clh::new(n), erased, n),
+            "ticket" => grid_leg(&name, &Ticket::new(n), erased, n),
+            "rpeterson" => grid_leg(&name, &RPeterson::new(n), erased, n),
+            "rtas" => grid_leg(&name, &RTas::new(n), erased, n),
+            "broken-recover" => grid_leg(&name, &BrokenRecover::new(n), erased, n),
+            other => panic!("{other}: give the new entry a typed leg here"),
         }
     }
 }
@@ -153,7 +161,7 @@ fn parameterized_specs_stream_identically_to_their_typed_constructions() {
 /// A tracker fed step by step agrees with the one-shot driver.
 #[test]
 fn manual_tracker_feed_matches_run_priced() {
-    let alg = AnyAlgorithm::by_name("dekker-tree", 4).expect("known");
+    let alg = DekkerTournament::new(4);
     let passages = 1;
     let sched_entry = SchedulerRegistry::global()
         .resolve_str("greedy", 4)

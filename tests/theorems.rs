@@ -3,8 +3,8 @@
 
 use exclusion::cost::sc_cost;
 use exclusion::lb::{construct, encode, run_pipeline, ConstructConfig, Permutation};
-use exclusion::mutex::AnyAlgorithm;
-use exclusion::shmem::Automaton;
+use exclusion::mutex::{AlgorithmInfo, AlgorithmRegistry};
+use exclusion::shmem::{Automaton, DynRef};
 use proptest::prelude::*;
 
 fn small_perm(n: usize, raw: u64) -> Permutation {
@@ -19,10 +19,13 @@ proptest! {
     #[test]
     fn pipeline_holds(
         n in 2usize..=6,
-        alg_idx in 0usize..6,
+        alg_idx in 0usize..7,
         raw in any::<u64>(),
     ) {
-        let alg = AnyAlgorithm::suite(n).remove(alg_idx);
+        let r = AlgorithmRegistry::global()
+            .instantiate(n, AlgorithmInfo::register_only)
+            .remove(alg_idx);
+        let alg = DynRef(r.automaton.as_ref());
         let pi = small_perm(n, raw);
         run_pipeline(&alg, &pi, &ConstructConfig::default(), 3)
             .map_err(|e| TestCaseError::fail(format!("{} {pi}: {e}", alg.name())))?;
@@ -33,11 +36,14 @@ proptest! {
     #[test]
     fn linearization_costs_agree(
         n in 2usize..=5,
-        alg_idx in 0usize..6,
+        alg_idx in 0usize..7,
         raw in any::<u64>(),
         seeds in prop::collection::vec(any::<u64>(), 4),
     ) {
-        let alg = AnyAlgorithm::suite(n).remove(alg_idx);
+        let r = AlgorithmRegistry::global()
+            .instantiate(n, AlgorithmInfo::register_only)
+            .remove(alg_idx);
+        let alg = DynRef(r.automaton.as_ref());
         let pi = small_perm(n, raw);
         let c = construct(&alg, &pi, &ConstructConfig::default()).expect("construct");
         let expected = c.cost();
@@ -55,10 +61,13 @@ proptest! {
     #[test]
     fn encoding_is_linear_in_cost(
         n in 2usize..=6,
-        alg_idx in 0usize..6,
+        alg_idx in 0usize..7,
         raw in any::<u64>(),
     ) {
-        let alg = AnyAlgorithm::suite(n).remove(alg_idx);
+        let r = AlgorithmRegistry::global()
+            .instantiate(n, AlgorithmInfo::register_only)
+            .remove(alg_idx);
+        let alg = DynRef(r.automaton.as_ref());
         let pi = small_perm(n, raw);
         let c = construct(&alg, &pi, &ConstructConfig::default()).expect("construct");
         let bits = encode(&c).bit_len();
@@ -70,10 +79,13 @@ proptest! {
     #[test]
     fn construction_is_deterministic(
         n in 2usize..=5,
-        alg_idx in 0usize..6,
+        alg_idx in 0usize..7,
         raw in any::<u64>(),
     ) {
-        let alg = AnyAlgorithm::suite(n).remove(alg_idx);
+        let r = AlgorithmRegistry::global()
+            .instantiate(n, AlgorithmInfo::register_only)
+            .remove(alg_idx);
+        let alg = DynRef(r.automaton.as_ref());
         let pi = small_perm(n, raw);
         let a = construct(&alg, &pi, &ConstructConfig::default()).expect("construct");
         let b = construct(&alg, &pi, &ConstructConfig::default()).expect("construct");
@@ -90,7 +102,8 @@ proptest! {
 #[test]
 fn stage_prefixes_preserve_projections() {
     use exclusion::lb::construct_stages;
-    for alg in AnyAlgorithm::suite(5) {
+    for r in AlgorithmRegistry::global().instantiate(5, AlgorithmInfo::register_only) {
+        let alg = DynRef(r.automaton.as_ref());
         let pi = Permutation::unrank(5, 101);
         let full = construct(&alg, &pi, &ConstructConfig::default()).unwrap();
         for k in 1..5 {
@@ -129,7 +142,8 @@ fn stage_prefixes_preserve_projections() {
 fn earlier_processes_cannot_see_later_ones() {
     use exclusion::shmem::Step;
     let n = 5;
-    for alg in AnyAlgorithm::suite(n) {
+    for r in AlgorithmRegistry::global().instantiate(n, AlgorithmInfo::register_only) {
+        let alg = DynRef(r.automaton.as_ref());
         let pi = Permutation::unrank(n, 77);
         let full = construct(&alg, &pi, &ConstructConfig::default()).unwrap();
         let alpha_full = full.linearize();

@@ -4,12 +4,12 @@
 //! deterministic.
 
 use exclusion::cost::sc_cost;
-use exclusion::mutex::AnyAlgorithm;
+use exclusion::mutex::{AlgorithmInfo, AlgorithmRegistry, DekkerTournament};
 use exclusion::shmem::sched::{
     run_random, run_scheduler, run_sequential, Burst, GreedyAdversary, Random, RoundRobin,
     Sequential, Stagger,
 };
-use exclusion::shmem::{Automaton, ProcessId, Scheduler};
+use exclusion::shmem::{Automaton, DynRef, ProcessId, Scheduler};
 use exclusion::workload::{sweep, Scenario, SchedSpec, SweepOptions, JSON_SCHEMA};
 use proptest::prelude::*;
 
@@ -41,11 +41,14 @@ proptest! {
     #[test]
     fn every_scheduler_preserves_safety_on_every_algorithm(
         n in 2usize..=5,
-        alg_idx in 0usize..6,
+        alg_idx in 0usize..7,
         seed in any::<u64>(),
         passages in 1usize..=2,
     ) {
-        let alg = AnyAlgorithm::suite(n).remove(alg_idx);
+        let r = AlgorithmRegistry::global()
+            .instantiate(n, AlgorithmInfo::register_only)
+            .remove(alg_idx);
+        let alg = DynRef(r.automaton.as_ref());
         for mut sched in all_schedulers(n, passages, seed) {
             let exec = run_scheduler(&alg, sched.as_mut(), passages, 50_000_000)
                 .map_err(|e| TestCaseError::fail(
@@ -69,7 +72,8 @@ proptest! {
 #[test]
 fn greedy_adversary_never_extracts_less_than_canonical() {
     for n in [2usize, 3, 4, 6, 8] {
-        for alg in AnyAlgorithm::suite(n) {
+        for r in AlgorithmRegistry::global().instantiate(n, AlgorithmInfo::register_only) {
+            let alg = DynRef(r.automaton.as_ref());
             let order: Vec<_> = ProcessId::all(n).collect();
             let seq = run_sequential(&alg, &order, 1_000_000).expect("canonical run");
             let seq_sc = sc_cost(&alg, &seq).expect("replay").total();
@@ -90,7 +94,7 @@ fn greedy_adversary_never_extracts_less_than_canonical() {
 /// scheduler manages on any of a 16-seed grid, for 1 and 2 passages.
 #[test]
 fn greedy_beats_every_random_schedule_on_dekker_n8() {
-    let alg = AnyAlgorithm::by_name("dekker-tree", 8).expect("known");
+    let alg = DekkerTournament::new(8);
     for passages in [1usize, 2] {
         let adv = run_scheduler(&alg, &mut GreedyAdversary::new(), passages, 50_000_000)
             .expect("adversary run");
