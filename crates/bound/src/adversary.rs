@@ -51,6 +51,33 @@
 //! it composes with every generic driver, including the streaming
 //! pricer `run_priced`, unchanged.
 //!
+//! # Pick cost
+//!
+//! The adversary does not rescan the `n` views per pick. Its pick order
+//! lives in a [`PickIndex`] (shared with the greedy adversary), and each
+//! pick re-keys only the processes whose key can have moved since the
+//! last one:
+//!
+//! * the processes whose views changed — the one that stepped, and the
+//!   waiters of the register it wrote, whose previews can flip;
+//! * the charged writers of a register whose audience changed (rule 2's
+//!   subkey), found through the index's per-register writer lists;
+//! * the pending readers of a register whose last writer changed, and,
+//!   after a fresh awareness merge, every charged read (rule 3's
+//!   subkey; merges are rare — hundreds per game against hundreds of
+//!   thousands of picks).
+//!
+//! Audiences are counts kept current as views change, not a pass per
+//! pick. Drivers that report every step through
+//! [`Scheduler::executed`] (`run_scheduler_with`, `run_priced`,
+//! `run_faulted_with`, and [`Traced`] wrappers around the adversary)
+//! let the index find the changed views from those reports; any other
+//! driver still gets the same picks, with the index diffing the views
+//! it is shown against its own copy. A pick then costs
+//! O(affected · log n); at n = 256–1024 the game runs several times
+//! faster than with the per-pick scan, and picks stay bit-identical to
+//! it (the reference scans live on in this crate's equivalence tests).
+//!
 //! Determinism: picks are a pure function of the observed run prefix
 //! and the seed (which only perturbs final tie-breaks); all state lives
 //! in index-addressed vectors, so there is no hash-iteration
@@ -59,14 +86,15 @@
 //!
 //! [`GreedyAdversary`]: exclusion_shmem::sched::GreedyAdversary
 //! [`System`]: exclusion_shmem::System
+//! [`Traced`]: exclusion_shmem::sched::Traced
 
 use exclusion_shmem::probe::{NoProbe, Probe, TraceEvent};
-use exclusion_shmem::sched::{SchedContext, Scheduler};
-use exclusion_shmem::{CritKind, NextStep, ProcessId, RegisterId};
+use exclusion_shmem::sched::{PickIndex, SchedContext, Scheduler};
+use exclusion_shmem::{CritKind, Executed, NextStep, ProcessId, ProcessView, RegisterId};
 
 /// Deterministically scrambles the seed into a tie-break mask
 /// (SplitMix64 finalizer).
-fn mix(seed: u64) -> u64 {
+pub(crate) fn mix(seed: u64) -> u64 {
     let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -76,13 +104,13 @@ fn mix(seed: u64) -> u64 {
 /// Union-find over process indices, by size with path halving — the
 /// awareness partition. Plain vectors, fully deterministic.
 #[derive(Clone, Debug, Default)]
-struct Partition {
+pub(crate) struct Partition {
     parent: Vec<usize>,
     size: Vec<usize>,
 }
 
 impl Partition {
-    fn reset(&mut self, n: usize) {
+    pub(crate) fn reset(&mut self, n: usize) {
         self.parent.clear();
         self.parent.extend(0..n);
         self.size.clear();
@@ -98,14 +126,14 @@ impl Partition {
     }
 
     /// Size of the group `x` belongs to.
-    fn group_size(&mut self, x: usize) -> usize {
+    pub(crate) fn group_size(&mut self, x: usize) -> usize {
         let root = self.find(x);
         self.size[root]
     }
 
     /// The size the merged group of `a` and `b` would have (their
     /// current combined size; just `|group(a)|` when already merged).
-    fn merged_size(&mut self, a: usize, b: usize) -> usize {
+    pub(crate) fn merged_size(&mut self, a: usize, b: usize) -> usize {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra == rb {
             self.size[ra]
@@ -114,7 +142,7 @@ impl Partition {
         }
     }
 
-    fn union(&mut self, a: usize, b: usize) {
+    pub(crate) fn union(&mut self, a: usize, b: usize) {
         let (mut ra, mut rb) = (self.find(a), self.find(b));
         if ra == rb {
             return;
@@ -155,12 +183,12 @@ impl Partition {
 /// ```
 #[derive(Clone, Debug)]
 pub struct AdaptiveAdversary<P: Probe = NoProbe> {
-    tiebreak: u64,
     patience: Option<usize>,
-    /// `last_picked[p]`: the step at which `p` was last scheduled —
-    /// the starvation valve's clock, exactly as in the greedy
+    /// The live processes by `(class, passages, subkey)`, then
+    /// longest-unscheduled, then the seed-perturbed pid; also the
+    /// starvation valve's pick clock, exactly as in the greedy
     /// adversary.
-    last_picked: Vec<Option<usize>>,
+    index: PickIndex,
     /// `last_writer[r]`: the process whose (scheduled) write or RMW
     /// most recently set register `r`. Grown on demand — the adversary
     /// learns the register space from the previews it sees.
@@ -168,11 +196,25 @@ pub struct AdaptiveAdversary<P: Probe = NoProbe> {
     /// The awareness partition: groups of processes that have
     /// (transitively) observed each other.
     aware: Partition,
-    /// Scratch: pending readers per register this pick (the audience a
-    /// write to the register would reveal to). Reused across picks.
+    /// `audience[r]`: live processes whose pending step reads register
+    /// `r` (the audience a write to `r` would reveal to), kept current
+    /// as views change. Grown on demand.
     audience: Vec<usize>,
+    /// Scratch: registers whose audience changed this pick.
+    moved: Vec<RegisterId>,
+    /// Whether the awareness partition coarsened since the last pick,
+    /// which moves every charged read's merge-size subkey.
+    merged: bool,
     /// Observer of strategy moves; [`NoProbe`] by default.
     probe: P,
+}
+
+/// The pick key before the skip clock and the tie-break — class, fewest
+/// passages, then the class's knowledge subkey (a group or audience
+/// size, so below `n`) — packed into a [`PickIndex`] rank. Every field
+/// fits its bits exactly, so the packed order is the tuple order.
+fn rank(class: usize, passages: usize, subkey: usize) -> u128 {
+    (class as u128) << 120 | (passages as u128) << 56 | subkey as u128
 }
 
 impl AdaptiveAdversary {
@@ -182,12 +224,13 @@ impl AdaptiveAdversary {
     #[must_use]
     pub fn new(seed: u64) -> Self {
         AdaptiveAdversary {
-            tiebreak: mix(seed),
             patience: None,
-            last_picked: Vec::new(),
+            index: PickIndex::new(mix(seed) as usize),
             last_writer: Vec::new(),
             aware: Partition::default(),
             audience: Vec::new(),
+            moved: Vec::new(),
+            merged: false,
             probe: NoProbe,
         }
     }
@@ -214,23 +257,32 @@ impl<P: Probe> AdaptiveAdversary<P> {
     #[must_use]
     pub fn with_probe<Q: Probe>(self, probe: Q) -> AdaptiveAdversary<Q> {
         let AdaptiveAdversary {
-            tiebreak,
             patience,
-            last_picked,
+            index,
             last_writer,
             aware,
             audience,
+            moved,
+            merged,
             probe: _,
         } = self;
         AdaptiveAdversary {
-            tiebreak,
             patience,
-            last_picked,
+            index,
             last_writer,
             aware,
             audience,
+            moved,
+            merged,
             probe,
         }
+    }
+
+    /// How many picks had to diff the whole context to find the views
+    /// that changed (see [`PickIndex::diff_syncs`]).
+    #[cfg(test)]
+    pub(crate) fn diff_syncs(&self) -> usize {
+        self.index.diff_syncs()
     }
 
     /// The number of awareness groups still separate — `n` at the start
@@ -247,8 +299,14 @@ impl<P: Probe> AdaptiveAdversary<P> {
         if reg.index() >= self.last_writer.len() {
             self.last_writer.resize(reg.index() + 1, None);
         }
-        if reg.index() >= self.audience.len() {
-            self.audience.resize(reg.index() + 1, 0);
+    }
+
+    /// Makes `pid` the last writer of `reg`; the charged reads of `reg`
+    /// now merge with a different group, so their keys are stale.
+    fn set_writer(&mut self, reg: RegisterId, pid: ProcessId) {
+        if self.last_writer[reg.index()] != Some(pid) {
+            self.last_writer[reg.index()] = Some(pid);
+            self.index.mark_readers(reg);
         }
     }
 
@@ -257,6 +315,7 @@ impl<P: Probe> AdaptiveAdversary<P> {
     fn merge_aware(&mut self, reader: ProcessId, writer: ProcessId, step: usize) {
         let fresh = self.aware.find(reader.index()) != self.aware.find(writer.index());
         self.aware.union(reader.index(), writer.index());
+        self.merged |= fresh;
         if fresh && self.probe.enabled() {
             let merged = self.aware.group_size(reader.index());
             let groups = self.groups();
@@ -318,7 +377,7 @@ impl<P: Probe> AdaptiveAdversary<P> {
                         });
                     }
                 }
-                self.last_writer[reg.index()] = Some(pid);
+                self.set_writer(reg, pid);
             }
             NextStep::Write(reg, _) => {
                 self.ensure_register(reg);
@@ -330,10 +389,19 @@ impl<P: Probe> AdaptiveAdversary<P> {
                         audience: self.audience.get(reg.index()).copied().unwrap_or(0),
                     });
                 }
-                self.last_writer[reg.index()] = Some(pid);
+                self.set_writer(reg, pid);
             }
             NextStep::Crit(_) => {}
         }
+    }
+}
+
+/// The register `v` counts in the audience of: the one its pending
+/// read (or RMW) reads, if it is live.
+fn audience_of(v: &ProcessView) -> Option<RegisterId> {
+    match v.next {
+        NextStep::Read(reg) | NextStep::Rmw(reg, _) if !v.done => Some(reg),
+        _ => None,
     }
 }
 
@@ -348,56 +416,65 @@ impl<P: Probe> Scheduler for AdaptiveAdversary<P> {
         // a different-sized algorithm gets that run's default valve,
         // like the rest of the per-run state below.
         let patience = self.patience.unwrap_or(4 * n + 4);
-        // A pick at step 0 is the start of a (possibly new) run.
-        if self.last_picked.len() != n || ctx.step == 0 {
-            self.last_picked.clear();
-            self.last_picked.resize(n, None);
+        // Audiences follow the views: each changed view moves at most
+        // one live reader from one register to another, and the
+        // charged writes to those registers are re-keyed (rule 2's
+        // externality measure).
+        let (audience, moved) = (&mut self.audience, &mut self.moved);
+        let fresh = self.index.begin(ctx, |old, new| {
+            let (from, to) = (audience_of(old), audience_of(new));
+            if from != to {
+                if let Some(reg) = from {
+                    audience[reg.index()] -= 1;
+                    moved.push(reg);
+                }
+                if let Some(reg) = to {
+                    count_reader(audience, reg);
+                    moved.push(reg);
+                }
+            }
+        });
+        if fresh {
+            // A pick at step 0 is the start of a (possibly new) run.
             self.last_writer.clear();
-            self.audience.clear();
             self.aware.reset(n);
-        }
-        // Pass 1: audiences — how many live processes are waiting to
-        // read each register right now (rule 2's externality measure).
-        self.audience.iter_mut().for_each(|a| *a = 0);
-        for v in ctx.live() {
-            if let NextStep::Read(reg) | NextStep::Rmw(reg, _) = v.next {
-                self.ensure_register(reg);
-                self.audience[reg.index()] += 1;
+            self.merged = false;
+            self.audience.clear();
+            for reg in ctx.views.iter().filter_map(audience_of) {
+                count_reader(&mut self.audience, reg);
             }
         }
-        // Pass 2: classify. Key order: class, fewest passages (keep
-        // everyone in the contended trying section), the class's
-        // knowledge subkey, longest-unscheduled, then a seed-perturbed
-        // pid tie-break. The starvation valve mirrors the greedy
-        // adversary's exactly (including its latest-maximum tie-break).
-        type Key = (usize, usize, usize, std::cmp::Reverse<usize>, usize);
-        let mut starved: Option<(usize, ProcessId)> = None;
-        let mut best: Option<(Key, ProcessId)> = None;
-        for v in ctx.live() {
-            let waited = match self.last_picked[v.pid.index()] {
-                Some(s) => ctx.step.saturating_sub(s + 1),
-                None => ctx.step,
-            };
-            if waited >= patience && starved.is_none_or(|(w, _)| waited >= w) {
-                starved = Some((waited, v.pid));
-            }
+        for reg in self.moved.drain(..) {
+            self.index.mark_writers(reg);
+        }
+        if std::mem::take(&mut self.merged) {
+            // Charged reads are class 1.
+            self.index.mark_filed(rank(1, 0, 0), rank(2, 0, 0));
+        }
+        // Key order: class, fewest passages (keep everyone in the
+        // contended trying section), the class's knowledge subkey,
+        // longest-unscheduled, then a seed-perturbed pid tie-break. The
+        // starvation valve mirrors the greedy adversary's exactly
+        // (including its latest-maximum tie-break).
+        let (aware, last_writer, audience) = (&mut self.aware, &self.last_writer, &self.audience);
+        self.index.rekey(|v| {
             let (class, subkey) = match (v.next, v.changes_state) {
                 // Recruit everyone into the trying section first.
-                (NextStep::Crit(CritKind::Try), _) => (0usize, 0usize),
+                (NextStep::Crit(CritKind::Try), _) => (0, 0),
                 // Rule 1+3: harvest charged reads before any write can
                 // clobber what they are about to observe; among them,
                 // merge the smallest awareness groups first.
                 (NextStep::Read(reg), true) => {
-                    let merged = match self.last_writer.get(reg.index()).copied().flatten() {
-                        Some(w) => self.aware.merged_size(v.pid.index(), w.index()),
-                        None => self.aware.group_size(v.pid.index()),
+                    let merged = match last_writer.get(reg.index()).copied().flatten() {
+                        Some(w) => aware.merged_size(v.pid.index(), w.index()),
+                        None => aware.group_size(v.pid.index()),
                     };
                     (1, merged)
                 }
                 // Rule 2: charged writes (and RMWs) reveal to the
                 // smallest audience.
                 (NextStep::Write(reg, _) | NextStep::Rmw(reg, _), true) => {
-                    (2, self.audience.get(reg.index()).copied().unwrap_or(0))
+                    (2, audience.get(reg.index()).copied().unwrap_or(0))
                 }
                 // Free critical progress only when nothing is
                 // chargeable.
@@ -405,19 +482,9 @@ impl<P: Probe> Scheduler for AdaptiveAdversary<P> {
                 // Free spins last: they cost nothing and learn nothing.
                 (_, false) => (4, 0),
             };
-            let key = (
-                class,
-                v.passages,
-                subkey,
-                std::cmp::Reverse(waited),
-                v.pid.index() ^ (self.tiebreak as usize),
-            );
-            if best.is_none_or(|(k, _)| key < k) {
-                best = Some((key, v.pid));
-            }
-        }
-        let picked = starved.map(|(_, p)| p).or(best.map(|(_, p)| p))?;
-        self.last_picked[picked.index()] = Some(ctx.step);
+            rank(class, v.passages, subkey)
+        });
+        let picked = self.index.select(ctx.step, patience)?;
         // The driver will execute exactly the previewed step of the
         // process we return; fold it into the model now.
         let view = &ctx.views[picked.index()];
@@ -428,6 +495,18 @@ impl<P: Probe> Scheduler for AdaptiveAdversary<P> {
     fn wants_step_previews(&self) -> bool {
         true
     }
+
+    fn executed(&mut self, done: &Executed) {
+        self.index.executed(done);
+    }
+}
+
+/// Counts one more live reader of `reg`.
+fn count_reader(audience: &mut Vec<usize>, reg: RegisterId) {
+    if reg.index() >= audience.len() {
+        audience.resize(reg.index() + 1, 0);
+    }
+    audience[reg.index()] += 1;
 }
 
 #[cfg(test)]

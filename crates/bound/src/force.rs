@@ -164,12 +164,14 @@ fn costs_of(priced: &PricedRun) -> [usize; 3] {
     [priced.sc.total(), priced.cc.total(), priced.dsm.total()]
 }
 
-fn play<P: Probe>(
+/// One strategy's run of the game: priced in one streaming pass, with
+/// its picks traced.
+pub(crate) fn play<S: Scheduler, P: Probe>(
     alg: &dyn DynAutomaton,
-    sched: impl Scheduler,
+    sched: S,
     cfg: &BoundConfig,
     probe: P,
-) -> Result<(PricedRun, Vec<ProcessId>), String> {
+) -> Result<(PricedRun, Traced<S>), String> {
     let mut traced = Traced::new(sched);
     let priced = run_priced_probed(
         &DynRef(alg),
@@ -179,7 +181,7 @@ fn play<P: Probe>(
         probe,
     )
     .map_err(|e| e.to_string())?;
-    Ok((priced, traced.into_picks()))
+    Ok((priced, traced))
 }
 
 /// Brackets one strategy run with a [`SpanScope::Game`] span (wall
@@ -253,11 +255,15 @@ fn force_impl<P: Probe + Copy>(alg: &dyn DynAutomaton, cfg: &BoundConfig, probe:
     for (name, outcome) in [
         (
             "fanlynch",
-            timed(probe, 0, || play(alg, adaptive, cfg, probe)),
+            timed(probe, 0, || {
+                play(alg, adaptive, cfg, probe).map(|(p, t)| (p, t.into_picks()))
+            }),
         ),
         (
             "greedy-adversary",
-            timed(probe, 1, || play(alg, greedy, cfg, probe)),
+            timed(probe, 1, || {
+                play(alg, greedy, cfg, probe).map(|(p, t)| (p, t.into_picks()))
+            }),
         ),
     ] {
         match outcome {

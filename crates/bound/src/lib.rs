@@ -62,6 +62,8 @@
 #![warn(missing_docs)]
 
 pub mod adversary;
+#[cfg(test)]
+mod equivalence;
 pub mod fit;
 pub mod force;
 

@@ -249,7 +249,9 @@ impl FaultPlan {
 ///
 /// The plan is polled before the scheduler at every step index; when it
 /// names a victim, the crash consumes that index and the scheduler is
-/// not consulted. With [`FaultPlan::none`] this is bit-identical to
+/// not consulted. Every step, crash steps included, is reported to the
+/// scheduler through [`Scheduler::executed`]. With [`FaultPlan::none`]
+/// this is bit-identical to
 /// [`run_scheduler_with`](crate::sched::run_scheduler_with).
 ///
 /// # Errors
@@ -282,6 +284,7 @@ where
             }
             let done = sys.crash(victim);
             table.apply(&sys, passages, &done);
+            sched.executed(&done);
             crashed[victim.index()] = true;
             if probe.enabled() {
                 probe.record(&TraceEvent::Crash {
@@ -317,6 +320,7 @@ where
                 }
                 let done = sys.step(p);
                 table.apply(&sys, passages, &done);
+                sched.executed(&done);
                 sink(&done);
                 executed += 1;
             }

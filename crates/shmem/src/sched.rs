@@ -65,6 +65,21 @@
 //! driver that wants the same guarantee can use [`ViewTable`] directly:
 //! construct it with [`ViewTable::new`], and call [`ViewTable::apply`]
 //! with the [`Executed`] outcome of every step it performs.
+//!
+//! The built-in drivers ([`run_scheduler_with`] and
+//! [`run_faulted_with`](crate::fault::run_faulted_with)) also report every
+//! step they execute, crash steps included, to the scheduler through
+//! [`Scheduler::executed`], right after refreshing the views. A driver
+//! that reports every step promises that the views change *only*
+//! through reported steps, and only as described above: the acting
+//! process's view, and the `changes_state` previews of the processes
+//! waiting on a register the step wrote. That promise is what lets the
+//! cost-aware adversaries keep their pick order in a [`PickIndex`] and
+//! re-key only the views a step changed, instead of rescanning all `n`
+//! per pick. A driver that does not report steps (or changes views
+//! some other way, as serve does when it hides idle lanes) stays
+//! correct: an index that did not see every step since its last pick
+//! finds the changed views by diffing the context against its own copy.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -155,6 +170,15 @@ pub trait Scheduler {
     /// [`GreedyAdversary`]) opt in.
     fn wants_step_previews(&self) -> bool {
         false
+    }
+
+    /// Tells the scheduler that the driver just executed `done` (crash
+    /// steps included), after refreshing the views. Defaults to doing
+    /// nothing. Drivers that call it for every step they execute let
+    /// incremental schedulers skip the diff of the next context (see
+    /// the module docs); wrappers should forward it.
+    fn executed(&mut self, done: &Executed) {
+        let _ = done;
     }
 }
 
@@ -309,7 +333,8 @@ impl ViewTable {
 /// steps executed.
 ///
 /// Views are maintained incrementally via [`ViewTable`], so the
-/// per-step bookkeeping is O(1 + affected), not Θ(n).
+/// per-step bookkeeping is O(1 + affected), not Θ(n), and every step is
+/// reported to the scheduler through [`Scheduler::executed`].
 ///
 /// # Errors
 ///
@@ -347,6 +372,7 @@ where
                 );
                 let done = sys.step(p);
                 table.apply(&sys, passages, &done);
+                sched.executed(&done);
                 sink(&done);
                 executed += 1;
             }
@@ -511,6 +537,448 @@ impl Scheduler for Random {
     }
 }
 
+/// The register a pending step reads (reads and RMWs).
+fn read_target(next: NextStep) -> Option<RegisterId> {
+    match next {
+        NextStep::Read(r) | NextStep::Rmw(r, _) => Some(r),
+        NextStep::Write(..) | NextStep::Crit(_) => None,
+    }
+}
+
+/// The register a pending step writes (writes and RMWs).
+fn write_target(next: NextStep) -> Option<RegisterId> {
+    match next {
+        NextStep::Write(r, _) | NextStep::Rmw(r, _) => Some(r),
+        NextStep::Read(_) | NextStep::Crit(_) => None,
+    }
+}
+
+/// Processes grouped by a register their pending step touches, with
+/// O(1) removal; grown on demand, since a [`PickIndex`] learns the
+/// register space from the views it sees.
+#[derive(Clone, Debug, Default)]
+struct Enrollment {
+    lists: Vec<Vec<ProcessId>>,
+    /// `slot[p]`: where `p` sits, if anywhere.
+    slot: Vec<Option<(RegisterId, usize)>>,
+}
+
+impl Enrollment {
+    fn reset(&mut self, n: usize) {
+        self.lists.iter_mut().for_each(Vec::clear);
+        self.slot.clear();
+        self.slot.resize(n, None);
+    }
+
+    fn get(&self, reg: RegisterId) -> &[ProcessId] {
+        self.lists.get(reg.index()).map_or(&[], Vec::as_slice)
+    }
+
+    fn enroll(&mut self, pid: ProcessId, reg: Option<RegisterId>) {
+        let Some(reg) = reg else {
+            return;
+        };
+        if reg.index() >= self.lists.len() {
+            self.lists.resize_with(reg.index() + 1, Vec::new);
+        }
+        let list = &mut self.lists[reg.index()];
+        self.slot[pid.index()] = Some((reg, list.len()));
+        list.push(pid);
+    }
+
+    fn unenroll(&mut self, pid: ProcessId) {
+        let Some((reg, k)) = self.slot[pid.index()].take() else {
+            return;
+        };
+        let list = &mut self.lists[reg.index()];
+        list.swap_remove(k);
+        if let Some(&moved) = list.get(k) {
+            self.slot[moved.index()] = Some((reg, k));
+        }
+    }
+}
+
+/// A tournament tree over a fixed set of slots: the minimum in O(1), a
+/// slot update in O(log n). Node `1` is the root and slot `i` sits at
+/// node `n + i`; every other node holds the minimum of its two
+/// children, so an update walks one leaf-to-root path and stops as
+/// soon as a node's minimum does not move. Empty slots hold the
+/// `T::MAX`-like sentinel `empty`.
+#[derive(Clone, Debug)]
+struct MinTree<T> {
+    nodes: Vec<T>,
+    empty: T,
+}
+
+impl<T: Ord + Copy> MinTree<T> {
+    fn new(empty: T) -> Self {
+        MinTree {
+            nodes: Vec::new(),
+            empty,
+        }
+    }
+
+    fn reset(&mut self, n: usize) {
+        self.nodes.clear();
+        self.nodes.resize(2 * n, self.empty);
+    }
+
+    fn min(&self) -> Option<T> {
+        self.nodes.get(1).copied().filter(|&m| m != self.empty)
+    }
+
+    fn set(&mut self, slot: usize, value: Option<T>) {
+        let mut j = self.nodes.len() / 2 + slot;
+        self.nodes[j] = value.unwrap_or(self.empty);
+        while j > 1 {
+            j /= 2;
+            let m = self.nodes[2 * j].min(self.nodes[2 * j + 1]);
+            if self.nodes[j] == m {
+                break;
+            }
+            self.nodes[j] = m;
+        }
+    }
+}
+
+/// The incremental pick index behind the cost-aware adversaries
+/// ([`GreedyAdversary`] here, the adaptive adversary of
+/// `exclusion-bound`): the live processes ordered by the adversary's
+/// pick key, kept up to date by re-keying only the processes a step
+/// could have affected, so a pick costs O(affected · log n) instead of
+/// a scan over all `n` views.
+///
+/// Both adversaries pick the minimum of `(rank, longest-unscheduled,
+/// tie)` over the live processes, unless the starvation valve fires
+/// for the process skipped longest. The rank is the adversary's own
+/// key packed into a `u128` (lower is picked first); `tie` is the pid
+/// XOR a fixed mask. The index orders the live processes by `(rank,
+/// since, tie)`, where `since` is one more than the step of the
+/// process's last pick (0 if never picked) — "longest unscheduled" is
+/// "smallest `since`" — and keeps a second order by `since` alone for
+/// the valve. Both orders are tournament trees over the processes.
+///
+/// One pick runs in four phases:
+///
+/// 1. [`begin`](PickIndex::begin) rebuilds the index at the start of a
+///    run (step 0, or a different process count), and otherwise brings
+///    its private copy of the views up to date: from the steps reported
+///    through [`executed`](PickIndex::executed) when it saw every step
+///    since its last pick, or by diffing the whole context when it did
+///    not. Each changed view is handed to a callback and marked for
+///    re-keying.
+/// 2. The owner marks any process whose rank depends on state outside
+///    its own view ([`mark_readers`](PickIndex::mark_readers),
+///    [`mark_writers`](PickIndex::mark_writers),
+///    [`mark_filed`](PickIndex::mark_filed)).
+/// 3. [`rekey`](PickIndex::rekey) refiles every marked process.
+/// 4. [`select`](PickIndex::select) answers the pick.
+///
+/// Picks are exactly the ones a full scan with the same key would make,
+/// including on a driver that asks twice at one step (where the scan's
+/// saturating skip count ties the processes picked at that step; only
+/// that case walks the filed ranks).
+#[derive(Clone, Debug)]
+pub struct PickIndex {
+    /// The views as of the last sync, indexed by process.
+    views: Vec<ProcessView>,
+    /// `since[p]`: one more than the step `p` was last picked at; 0 if
+    /// never picked this run.
+    since: Vec<usize>,
+    /// The largest `since` handed out this run.
+    latest: usize,
+    /// `filed[p]`: the rank and `since` under which `p` sits in the
+    /// orders; `None` for finished processes.
+    filed: Vec<Option<(u128, usize)>>,
+    /// The live processes by `(rank, since << bits | tie)`.
+    ranked: MinTree<(u128, u64)>,
+    /// The live processes by `since << bits | !pid` (low `bits` bits):
+    /// the starvation valve's candidate, ties highest pid first.
+    starving: MinTree<u64>,
+    /// Bits a pid (and so a tie) needs this run.
+    bits: u32,
+    /// Processes by the register their pending step reads.
+    readers: Enrollment,
+    /// Processes by the register their pending step writes.
+    writers: Enrollment,
+    /// Processes awaiting [`rekey`](PickIndex::rekey), without repeats.
+    dirty: Vec<ProcessId>,
+    marked: Vec<bool>,
+    /// The last pick (step and process) that returned a process.
+    awaiting: Option<(usize, ProcessId)>,
+    /// Steps reported since that pick: the acting process, the
+    /// register it wrote, and whether it was a crash.
+    reported: Vec<(ProcessId, Option<RegisterId>, bool)>,
+    mask: usize,
+    diffs: usize,
+}
+
+impl PickIndex {
+    /// An empty index; ties among equal ranks go to the smallest
+    /// `pid ^ mask`.
+    #[must_use]
+    pub fn new(mask: usize) -> Self {
+        PickIndex {
+            views: Vec::new(),
+            since: Vec::new(),
+            latest: 0,
+            filed: Vec::new(),
+            ranked: MinTree::new((u128::MAX, u64::MAX)),
+            starving: MinTree::new(u64::MAX),
+            bits: 0,
+            readers: Enrollment::default(),
+            writers: Enrollment::default(),
+            dirty: Vec::new(),
+            marked: Vec::new(),
+            awaiting: None,
+            reported: Vec::new(),
+            mask,
+            diffs: 0,
+        }
+    }
+
+    /// How many picks found their changed views by diffing the whole
+    /// context — zero when the driver reports every step through
+    /// [`Scheduler::executed`].
+    #[must_use]
+    pub fn diff_syncs(&self) -> usize {
+        self.diffs
+    }
+
+    /// Records a step the driver executed (forward
+    /// [`Scheduler::executed`] here).
+    pub fn executed(&mut self, done: &Executed) {
+        if self.awaiting.is_none() {
+            return;
+        }
+        let (reg, crash) = match done.step {
+            Step::Write { reg, .. } | Step::Rmw { reg, .. } => (Some(reg), false),
+            Step::Crash { .. } => (None, true),
+            Step::Read { .. } | Step::Crit { .. } => (None, false),
+        };
+        self.reported.push((done.step.pid(), reg, crash));
+    }
+
+    /// Brings the index up to date with `ctx` (phase 1 of a pick).
+    ///
+    /// A pick at step 0, or over a different number of processes,
+    /// starts a fresh run: the index is rebuilt from `ctx`, every pick
+    /// clock is cleared, and `begin` returns `true` without calling
+    /// `changed`. Otherwise every view that differs from the index's
+    /// copy is passed to `changed(old, new)`, copied, and marked for
+    /// re-keying, and `begin` returns `false`.
+    pub fn begin(
+        &mut self,
+        ctx: &SchedContext<'_>,
+        mut changed: impl FnMut(&ProcessView, &ProcessView),
+    ) -> bool {
+        let n = ctx.views.len();
+        if self.views.len() != n || ctx.step == 0 {
+            self.rebuild(ctx.views);
+            return true;
+        }
+        // The reports cover every step since the last pick iff they
+        // start with that pick's own step and the clock advanced by
+        // exactly one per report.
+        let reported = match (self.awaiting, self.reported.first()) {
+            (Some((step, pid)), Some(&(first, _, false))) => {
+                first == pid && ctx.step == step + self.reported.len()
+            }
+            _ => false,
+        };
+        if reported {
+            // The acting processes first: after them, the only views
+            // left to change are previews, which move no enrollment.
+            for k in 0..self.reported.len() {
+                let pid = self.reported[k].0;
+                self.refresh(ctx.views, pid, &mut changed);
+            }
+            for k in 0..self.reported.len() {
+                let Some(reg) = self.reported[k].1 else {
+                    continue;
+                };
+                let mut j = 0;
+                while let Some(&q) = self.readers.get(reg).get(j) {
+                    self.refresh(ctx.views, q, &mut changed);
+                    j += 1;
+                }
+            }
+        } else {
+            self.diffs += 1;
+            let mut from = 0;
+            while let Some(k) = self.views[from..]
+                .iter()
+                .zip(&ctx.views[from..])
+                .position(|(mine, theirs)| mine != theirs)
+            {
+                self.refresh(ctx.views, ProcessId::new(from + k), &mut changed);
+                from += k + 1;
+            }
+        }
+        self.reported.clear();
+        false
+    }
+
+    fn rebuild(&mut self, views: &[ProcessView]) {
+        let n = views.len();
+        self.views.clear();
+        self.views.extend_from_slice(views);
+        self.since.clear();
+        self.since.resize(n, 0);
+        self.latest = 0;
+        self.filed.clear();
+        self.filed.resize(n, None);
+        self.ranked.reset(n);
+        self.starving.reset(n);
+        self.bits = usize::BITS - n.saturating_sub(1).leading_zeros();
+        self.readers.reset(n);
+        self.writers.reset(n);
+        for (p, v) in ProcessId::all(n).zip(views) {
+            self.readers.enroll(p, read_target(v.next));
+            self.writers.enroll(p, write_target(v.next));
+        }
+        self.dirty.clear();
+        self.dirty.extend(ProcessId::all(n));
+        self.marked.clear();
+        self.marked.resize(n, true);
+        self.awaiting = None;
+        self.reported.clear();
+    }
+
+    fn refresh(
+        &mut self,
+        views: &[ProcessView],
+        pid: ProcessId,
+        changed: &mut impl FnMut(&ProcessView, &ProcessView),
+    ) {
+        if self.views[pid.index()] == views[pid.index()] {
+            return;
+        }
+        let (old, new) = (self.views[pid.index()], views[pid.index()]);
+        changed(&old, &new);
+        if old.next != new.next {
+            self.readers.unenroll(pid);
+            self.readers.enroll(pid, read_target(new.next));
+            self.writers.unenroll(pid);
+            self.writers.enroll(pid, write_target(new.next));
+        }
+        self.views[pid.index()] = new;
+        self.mark(pid);
+    }
+
+    fn mark(&mut self, pid: ProcessId) {
+        if !std::mem::replace(&mut self.marked[pid.index()], true) {
+            self.dirty.push(pid);
+        }
+    }
+
+    /// Marks every process whose pending step reads (or RMWs) `reg`.
+    pub fn mark_readers(&mut self, reg: RegisterId) {
+        for k in 0..self.readers.get(reg).len() {
+            self.mark(self.readers.get(reg)[k]);
+        }
+    }
+
+    /// Marks every process whose pending step writes (or RMWs) `reg`.
+    pub fn mark_writers(&mut self, reg: RegisterId) {
+        for k in 0..self.writers.get(reg).len() {
+            self.mark(self.writers.get(reg)[k]);
+        }
+    }
+
+    /// Marks every live process filed under a rank in `from..to`. This
+    /// walks the filed ranks, O(n): meant for rare events (the adaptive
+    /// adversary calls it once per awareness merge), not per pick.
+    pub fn mark_filed(&mut self, from: u128, to: u128) {
+        for p in ProcessId::all(self.filed.len()) {
+            if self.filed[p.index()].is_some_and(|(r, _)| from <= r && r < to) {
+                self.mark(p);
+            }
+        }
+    }
+
+    /// Refiles every marked process under `rank(view)` (phase 3 of a
+    /// pick); finished processes leave both orders.
+    pub fn rekey(&mut self, mut rank: impl FnMut(&ProcessView) -> u128) {
+        while let Some(pid) = self.dirty.pop() {
+            let i = pid.index();
+            self.marked[i] = false;
+            let view = self.views[i];
+            let new = (!view.done).then(|| (rank(&view), self.since[i]));
+            let old = self.filed[i];
+            if new == old {
+                continue;
+            }
+            let low = (1usize << self.bits) - 1;
+            let order = |since: usize, tie: usize| {
+                debug_assert!(
+                    (since as u128) < 1 << (u64::BITS - self.bits),
+                    "pick clock overflow"
+                );
+                (since as u64) << self.bits | tie as u64
+            };
+            self.ranked.set(
+                i,
+                new.map(|(r, since)| (r, order(since, (i ^ self.mask) & low))),
+            );
+            if old.map(|o| o.1) != new.map(|o| o.1) {
+                self.starving
+                    .set(i, new.map(|(_, since)| order(since, low - i)));
+            }
+            self.filed[i] = new;
+        }
+    }
+
+    /// The pick at `step` (phase 4): the live process skipped longest,
+    /// if it has been skipped at least `patience` times (ties: highest
+    /// pid), and otherwise the smallest `(rank, since, tie)`. Skip
+    /// counts saturate at zero like the scans they replace, so a
+    /// process picked at `step` itself counts as skipped 0 times.
+    /// Returns `None` when no process is live.
+    pub fn select(&mut self, step: usize, patience: usize) -> Option<ProcessId> {
+        let low = (1u64 << self.bits) - 1;
+        let Some(oldest) = self.starving.min() else {
+            self.awaiting = None;
+            return None;
+        };
+        let (since, oldest) = (
+            (oldest >> self.bits) as usize,
+            low as usize - (oldest & low) as usize,
+        );
+        // Only a driver polling twice at one step leaves processes
+        // picked at `step` itself (`since > step`); their skip counts
+        // saturate to 0, tying them with any `since == step` process.
+        let exact = self.latest <= step;
+        let live = || (0..self.filed.len()).filter(|&i| self.filed[i].is_some());
+        let starved = if exact || since < step {
+            (step - since >= patience).then_some(oldest)
+        } else {
+            // Everyone has been skipped 0 times: the valve's tie-break
+            // takes the highest pid.
+            (patience == 0).then(|| live().max()).flatten()
+        };
+        let picked = starved.unwrap_or_else(|| {
+            let (rank, order) = self.ranked.min().expect("a live process is filed");
+            if exact || ((order >> self.bits) as usize) < step {
+                (order & low) as usize ^ (self.mask & low as usize)
+            } else {
+                // Every process filed under `rank` has been skipped 0
+                // times: the tie alone decides.
+                live()
+                    .filter(|&i| self.filed[i].is_some_and(|(r, _)| r == rank))
+                    .min_by_key(|&i| i ^ self.mask)
+                    .expect("the minimum is filed")
+            }
+        });
+        let picked = ProcessId::new(picked);
+        self.since[picked.index()] = step + 1;
+        self.latest = self.latest.max(step + 1);
+        self.mark(picked);
+        self.awaiting = Some((step, picked));
+        Some(picked)
+    }
+}
+
 /// The greedy cost-maximizing adversary: always schedules a process
 /// whose pending step will be *charged* by the SC cost model.
 ///
@@ -533,13 +1001,16 @@ impl Scheduler for Random {
 /// so livelock-free algorithms still terminate under the adversary.
 ///
 /// Skip counts are derived from the pick clock (`ctx.step`) and the step
-/// at which each process was last picked, so a pick costs one fused pass
-/// over the views plus a single O(1) write — not the per-process counter
-/// sweep it used to.
+/// at which each process was last picked. The pick order lives in a
+/// [`PickIndex`]: a process's key depends on its own view alone, so a
+/// pick re-keys only the views the last step changed — the acting
+/// process and the previews of its register's waiters — and costs
+/// O(affected · log n) instead of a pass over all `n` views.
 #[derive(Clone, Debug)]
 pub struct GreedyAdversary {
-    /// `last_picked[p]`: the step at which `p` was last scheduled.
-    last_picked: Vec<Option<usize>>,
+    /// The live processes by `(class, passages)`, then
+    /// longest-unscheduled, then pid.
+    index: PickIndex,
     patience: Option<usize>,
 }
 
@@ -548,7 +1019,7 @@ impl GreedyAdversary {
     #[must_use]
     pub fn new() -> Self {
         GreedyAdversary {
-            last_picked: Vec::new(),
+            index: PickIndex::new(0),
             patience: None,
         }
     }
@@ -559,9 +1030,16 @@ impl GreedyAdversary {
     #[must_use]
     pub fn with_patience(patience: usize) -> Self {
         GreedyAdversary {
-            last_picked: Vec::new(),
+            index: PickIndex::new(0),
             patience: Some(patience),
         }
+    }
+
+    /// How many picks had to diff the whole context to find the views
+    /// that changed (see [`PickIndex::diff_syncs`]).
+    #[must_use]
+    pub fn diff_syncs(&self) -> usize {
+        self.index.diff_syncs()
     }
 }
 
@@ -571,77 +1049,50 @@ impl Default for GreedyAdversary {
     }
 }
 
+/// The greedy adversary's pick class (lower is picked first).
+fn greedy_class(v: &ProcessView) -> usize {
+    match (v.next, v.changes_state) {
+        // Recruit everyone into the trying section first: contention
+        // needs participants.
+        (NextStep::Crit(crate::step::CritKind::Try), _) => 0,
+        // Charged writes/RMWs next: they fill the registers other
+        // processes are about to read, steering those reads onto their
+        // contended (expensive) paths.
+        (NextStep::Write(..) | NextStep::Rmw(..), true) => 1,
+        // Then harvest the reads those writes charged.
+        (NextStep::Read(_), true) => 2,
+        // Free critical progress only when nothing is chargeable.
+        (NextStep::Crit(_), _) => 3,
+        // Free spins last: they cost nothing and learn nothing.
+        (_, false) => 4,
+    }
+}
+
 impl Scheduler for GreedyAdversary {
     fn name(&self) -> String {
         "greedy-adversary".into()
     }
 
     fn pick(&mut self, ctx: &SchedContext<'_>) -> Option<ProcessId> {
-        let n = ctx.views.len();
         // Derived per pick, not latched: a reused adversary driven over
         // a different-sized algorithm gets that run's default valve,
-        // like the `last_picked` reset below.
-        let patience = self.patience.unwrap_or(4 * n + 4);
-        // A pick at step 0 is the start of a (possibly new) run; stale
-        // entries would make `waited` underflow on a reused scheduler.
-        if self.last_picked.len() != n {
-            self.last_picked = vec![None; n];
-        } else if ctx.step == 0 {
-            self.last_picked.fill(None);
-        }
-        // One pass computes both candidates. `waited` — picks since the
-        // process last ran — falls out of the pick clock: one pick per
-        // step, so a process last picked at step `s` has been skipped
-        // `step - s - 1` times (and a never-picked one `step` times).
-        // The pick ordering: class, then fewest passages, then
-        // longest-unscheduled, then pid.
-        type GreedyKey = (usize, usize, std::cmp::Reverse<usize>, usize);
-        let mut starved: Option<(usize, ProcessId)> = None;
-        let mut best: Option<(GreedyKey, ProcessId)> = None;
-        for v in ctx.live() {
-            // Saturating: a driver that re-polls at the same step (after
-            // discarding a pick) sees `waited = 0`, not an underflow.
-            let waited = match self.last_picked[v.pid.index()] {
-                Some(s) => ctx.step.saturating_sub(s + 1),
-                None => ctx.step,
-            };
-            // `>=` keeps the *latest* maximum, matching the counter-era
-            // tie-break among equally starved processes.
-            if waited >= patience && starved.is_none_or(|(w, _)| waited >= w) {
-                starved = Some((waited, v.pid));
-            }
-            let class = match (v.next, v.changes_state) {
-                // Recruit everyone into the trying section first:
-                // contention needs participants.
-                (NextStep::Crit(crate::step::CritKind::Try), _) => 0usize,
-                // Charged writes/RMWs next: they fill the registers
-                // other processes are about to read, steering those
-                // reads onto their contended (expensive) paths.
-                (NextStep::Write(..) | NextStep::Rmw(..), true) => 1,
-                // Then harvest the reads those writes charged.
-                (NextStep::Read(_), true) => 2,
-                // Free critical progress only when nothing is
-                // chargeable.
-                (NextStep::Crit(_), _) => 3,
-                // Free spins last: they cost nothing and learn
-                // nothing.
-                (_, false) => 4,
-            };
-            // Within a class: fewest passages (keep everyone in the
-            // game), then longest-unscheduled (advance the match
-            // fronts symmetrically, like round-robin does), then pid.
-            let key = (class, v.passages, std::cmp::Reverse(waited), v.pid.index());
-            if best.is_none_or(|(k, _)| key < k) {
-                best = Some((key, v.pid));
-            }
-        }
-        let picked = starved.map(|(_, p)| p).or(best.map(|(_, p)| p))?;
-        self.last_picked[picked.index()] = Some(ctx.step);
-        Some(picked)
+        // like the index's reset at step 0.
+        let patience = self.patience.unwrap_or(4 * ctx.views.len() + 4);
+        self.index.begin(ctx, |_, _| {});
+        // Within a class: fewest passages (keep everyone in the game),
+        // then longest-unscheduled (advance the match fronts
+        // symmetrically, like round-robin does), then pid.
+        self.index
+            .rekey(|v| (greedy_class(v) as u128) << 64 | v.passages as u128);
+        self.index.select(ctx.step, patience)
     }
 
     fn wants_step_previews(&self) -> bool {
         true
+    }
+
+    fn executed(&mut self, done: &Executed) {
+        self.index.executed(done);
     }
 }
 
@@ -774,6 +1225,10 @@ impl<S: Scheduler> Scheduler for Traced<S> {
 
     fn wants_step_previews(&self) -> bool {
         self.inner.wants_step_previews()
+    }
+
+    fn executed(&mut self, done: &Executed) {
+        self.inner.executed(done);
     }
 }
 
